@@ -160,9 +160,8 @@ impl Optimizer {
     ///
     /// Returns any I/O error from reading or opening the log.
     pub fn with_record_log(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let records = felix_records::read_all_records(path)?;
         let device = self.sim.device.name;
+        let (sink, records) = RecordLogSink::open(path, device)?;
         for task in &mut self.tasks {
             let n_new = persist::replay_records(task, &records, device);
             if n_new > 0 {
@@ -174,7 +173,7 @@ impl Optimizer {
                 fine_tune(&mut self.model, &task.samples[start..], epochs, 4e-4);
             }
         }
-        self.sink = Some(RecordLogSink::open(path, device)?);
+        self.sink = Some(sink);
         Ok(self)
     }
 
@@ -277,6 +276,13 @@ impl Optimizer {
 
     /// Writes a checkpoint now (no-op without [`Optimizer::with_checkpointing`]).
     ///
+    /// The model file is committed first, under its content-addressed name
+    /// ([`persist::model_file_name`]); the state document naming it is
+    /// committed second; superseded model files are removed last. A kill at
+    /// any point leaves a state document whose model file is on disk: the
+    /// previous checkpoint's until the new document lands, the new one
+    /// after.
+    ///
     /// # Errors
     ///
     /// Returns any I/O error from writing the state or model files.
@@ -285,7 +291,8 @@ impl Optimizer {
         std::fs::create_dir_all(dir)?;
         let mut model_bytes = Vec::new();
         self.model.save(&mut model_bytes)?;
-        persist::write_bytes_atomic(dir.join(persist::MODEL_FILE), &model_bytes)?;
+        let model_file = persist::model_file_name(&model_bytes);
+        felix_records::atomic_write(dir.join(&model_file), &model_bytes)?;
         let state = CheckpointState {
             device_name: self.sim.device.name.to_string(),
             clock_s: self.clock.now_s(),
@@ -303,11 +310,22 @@ impl Optimizer {
                 .and_then(|s| s.namespace().map(str::to_string)),
             history: self.history.clone(),
             tasks: self.tasks.iter().map(SearchTask::snapshot).collect(),
+            model_file,
         };
         felix_records::write_document(
             dir.join(persist::STATE_FILE),
             &persist::checkpoint_to_json(&state),
-        )
+        )?;
+        // Best effort: a superseded model file left behind costs only disk,
+        // and the next checkpoint retries its removal.
+        for entry in std::fs::read_dir(dir)?.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("model-") && name.ends_with(".bin") && name != state.model_file {
+                std::fs::remove_file(entry.path()).ok();
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds an optimizer from a checkpoint directory written by
@@ -323,8 +341,9 @@ impl Optimizer {
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a malformed or mismatched checkpoint, plus
-    /// any underlying I/O error.
+    /// Returns `InvalidData` on a malformed or mismatched checkpoint —
+    /// including a model file whose bytes do not hash to the name the
+    /// state document records — plus any underlying I/O error.
     pub fn resume_from_checkpoint(
         graphs: Vec<Task>,
         device: DeviceConfig,
@@ -340,9 +359,11 @@ impl Optimizer {
         if state.device_name != device.name {
             return Err(bad("checkpoint was written for a different device"));
         }
-        let model = Mlp::load(std::io::BufReader::new(std::fs::File::open(
-            dir.join(persist::MODEL_FILE),
-        )?))?;
+        let model_bytes = std::fs::read(dir.join(&state.model_file))?;
+        if persist::model_file_name(&model_bytes) != state.model_file {
+            return Err(bad("checkpoint model file does not match its recorded hash"));
+        }
+        let model = Mlp::load(model_bytes.as_slice())?;
         let mut opt = Optimizer::with_options(graphs, model, device, options);
         if state.tasks.len() != opt.tasks.len() {
             return Err(bad("checkpoint task count does not match the network"));
@@ -361,7 +382,7 @@ impl Optimizer {
         opt.checkpoint_dir = Some(dir.to_path_buf());
         opt.checkpoint_every = state.checkpoint_every;
         if let Some(log_path) = state.record_log {
-            opt.sink = Some(RecordLogSink::open(log_path, device.name)?);
+            opt.sink = Some(RecordLogSink::open(log_path, device.name)?.0);
         }
         if let Some(store_path) = state.schedule_store {
             // Reattached for publishing only: every task carries restored

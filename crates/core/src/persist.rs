@@ -16,25 +16,27 @@
 //! - [`checkpoint_to_json`] / [`checkpoint_from_json`] serialize the full
 //!   tuner state (task snapshots, clock, RNG position, history curve) with
 //!   every float as an exact bit pattern, so a resumed run continues the
-//!   time-vs-latency curve byte-identically.
+//!   time-vs-latency curve byte-identically. The document names the
+//!   content-addressed cost-model file beside it ([`model_file_name`]).
 
 use felix_ansor::{
     CurvePoint, HealthEvent, MeasurementEvent, MeasurementSink, SearchTask, SketchMode,
     TaskSnapshot,
 };
 use felix_records::{
-    task_key, HealthRecord, Json, Record, RecordLog, RecordOutcome, TuningRecord,
-    HEALTH_RECORD_VERSION,
+    fnv1a, task_key, HealthRecord, Json, Record, RecordLog, RecordOutcome, TuningRecord,
+    FNV_OFFSET, HEALTH_RECORD_VERSION,
 };
 use felix_sim::FaultKind;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Checkpoint document version, bumped on incompatible format changes.
 /// Version 2.0 added per-sketch supervision modes to task snapshots;
 /// version 3.0 added schedule-store attachment and per-task warm hints;
-/// version 4.0 added the schedule-store tenant namespace.
-const CHECKPOINT_VERSION: f64 = 4.0;
+/// version 4.0 added the schedule-store tenant namespace; version 5.0
+/// replaced the fixed `model.bin` with a content-addressed model file named
+/// in the document.
+const CHECKPOINT_VERSION: f64 = 5.0;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -48,17 +50,18 @@ pub struct RecordLogSink {
 }
 
 impl RecordLogSink {
-    /// Opens (creating if needed) the log at `path` for appending.
+    /// Opens (creating if needed) the log at `path` for appending, and
+    /// returns the sink with the records already in the log.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from opening the file.
-    pub fn open(path: impl AsRef<Path>, device_name: &str) -> std::io::Result<RecordLogSink> {
-        Ok(RecordLogSink {
-            log: RecordLog::open(path)?,
-            device_name: device_name.to_string(),
-            failed: false,
-        })
+    pub fn open(
+        path: impl AsRef<Path>,
+        device_name: &str,
+    ) -> std::io::Result<(RecordLogSink, Vec<Record>)> {
+        let (log, records) = RecordLog::open(path)?;
+        Ok((RecordLogSink { log, device_name: device_name.to_string(), failed: false }, records))
     }
 
     /// The underlying log path.
@@ -85,7 +88,7 @@ impl MeasurementSink for RecordLogSink {
             retries: event.retries,
             time_s: event.time_s,
         };
-        if let Err(e) = self.log.append(&record) {
+        if let Err(e) = self.log.append(&Record::Measurement(record)) {
             eprintln!(
                 "[felix] tuning-record append to {} failed ({e}); persistence disabled for the rest of this run",
                 self.log.path().display()
@@ -111,7 +114,7 @@ impl MeasurementSink for RecordLogSink {
             modes: event.modes.iter().map(|m| m.label().to_string()).collect(),
             time_s: event.time_s,
         };
-        if let Err(e) = self.log.append_health(&record) {
+        if let Err(e) = self.log.append(&Record::Health(record)) {
             eprintln!(
                 "[felix] health-record append to {} failed ({e}); persistence disabled for the rest of this run",
                 self.log.path().display()
@@ -190,7 +193,7 @@ pub fn replay_records(task: &mut SearchTask, records: &[Record], device_name: &s
 }
 
 /// The complete tuner state a checkpoint persists (everything except the
-/// cost-model weights, which live in a sibling binary file).
+/// cost-model weights, which live in the sibling file `model_file` names).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointState {
     /// Device the run targets, verified on resume.
@@ -216,6 +219,8 @@ pub struct CheckpointState {
     pub history: Vec<CurvePoint>,
     /// Per-task search-state snapshots, in task order.
     pub tasks: Vec<TaskSnapshot>,
+    /// The cost-model file beside the document ([`model_file_name`]).
+    pub model_file: String,
 }
 
 fn values_to_json(values: &[f64]) -> Json {
@@ -421,6 +426,7 @@ pub fn checkpoint_to_json(state: &CheckpointState) -> Json {
             ),
         ),
         ("tasks", Json::Arr(state.tasks.iter().map(snapshot_to_json).collect())),
+        ("model_file", Json::Str(state.model_file.clone())),
     ])
 }
 
@@ -469,25 +475,18 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
             .iter()
             .map(snapshot_from_json)
             .collect::<Option<Vec<TaskSnapshot>>>()?,
+        model_file: doc.get("model_file")?.as_str()?.to_string(),
     })
 }
 
 /// State-document filename inside a checkpoint directory.
 pub const STATE_FILE: &str = "state.json";
-/// Cost-model filename inside a checkpoint directory.
-pub const MODEL_FILE: &str = "model.bin";
 
-/// Atomically writes raw bytes (tmp file + fsync + rename), the binary
-/// sibling of [`felix_records::write_document`].
-pub fn write_bytes_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp: PathBuf = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+/// The content-addressed cost-model filename inside a checkpoint directory,
+/// `model-<FNV-1a of the serialized weights:016x>.bin`: a state document
+/// naming it can only be paired with the model it was written with.
+pub fn model_file_name(model_bytes: &[u8]) -> String {
+    format!("model-{:016x}.bin", fnv1a(FNV_OFFSET, model_bytes))
 }
 
 #[cfg(test)]
@@ -526,6 +525,7 @@ mod tests {
                 warm_hints: vec![(0, vec![2.0, 8.0, 0.1 + 0.2])],
                 rounds: 4,
             }],
+            model_file: model_file_name(b"weights"),
         }
     }
 

@@ -36,24 +36,21 @@
 
 use crate::objective::{PipelineOptions, SketchObjective};
 use felix_expr::{ENode, ExprId};
+use felix_records::{fnv1a, FNV_OFFSET};
 use felix_tir::sketch::generator_hash;
 use felix_tir::Program;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a, the repo-wide fingerprint hash (same constants as
-/// [`felix_records::task_key`] and [`crate::cache::structure_hash`]).
+/// A running [`fnv1a`] state, the repo-wide fingerprint hash.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_OFFSET)
     }
     fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
     fn u64(&mut self, v: u64) {
         self.mix(&v.to_le_bytes());

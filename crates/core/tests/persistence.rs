@@ -4,10 +4,12 @@
 //! a fresh optimizer, and — with the store disabled or the log empty — the
 //! persistence layer perturbs nothing at any thread count.
 
+use felix::persist::STATE_FILE;
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_graph::models;
 use felix_sim::{DeviceConfig, FaultPlan};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn tiny_network() -> Vec<felix_graph::Task> {
@@ -98,6 +100,114 @@ fn resume_from_checkpoint_matches_uninterrupted_curve() {
         assert_tasks_bit_identical(&base, &resumed);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Copies every file of `dir` (no subdirectories in a checkpoint) into a
+/// name → bytes map.
+fn dir_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("list checkpoint dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).expect("read checkpoint file"))
+        })
+        .collect()
+}
+
+#[test]
+fn every_kill_state_between_two_checkpoints_resumes_byte_identically() {
+    // `save_checkpoint` commits the model file (tmp, rename), then the
+    // state document (tmp, rename), then removes the superseded model. A
+    // kill can stop it after any of those steps, or halfway through a tmp
+    // write. Build each such directory out of the files of checkpoints k
+    // and k+1, resume from it, finish, and require the uninterrupted run.
+    let device = DeviceConfig::a5000();
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    let mut base = Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1));
+    let n_rounds = base.tasks().len() + 2;
+    base.optimize_all(n_rounds, 4);
+
+    let k = n_rounds / 2;
+    let live = tmp_dir("kill-live");
+    let mut run = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
+        .with_checkpointing(&live, 1);
+    run.optimize_all(k, 4);
+    let at_k = dir_files(&live);
+    run.optimize_all(1, 4);
+    let at_k1 = dir_files(&live);
+    drop(run);
+    std::fs::remove_dir_all(&live).ok();
+
+    let model_of = |files: &BTreeMap<String, Vec<u8>>| {
+        let mut models = files.iter().filter(|(n, _)| n.starts_with("model-"));
+        let (name, bytes) = models.next().expect("a model file");
+        assert!(models.next().is_none(), "superseded models are removed");
+        (name.clone(), bytes.clone())
+    };
+    let (model_k, model_k_bytes) = model_of(&at_k);
+    let (model_k1, model_k1_bytes) = model_of(&at_k1);
+    assert_ne!(model_k, model_k1, "the round must change the model");
+    let state_k = at_k[STATE_FILE].clone();
+    let state_k1 = at_k1[STATE_FILE].clone();
+    let model_tmp = Path::new(&model_k1).with_extension("tmp").display().to_string();
+    let state_tmp = Path::new(STATE_FILE).with_extension("tmp").display().to_string();
+    let half = |b: &[u8]| b[..b.len() / 2].to_vec();
+
+    let old = vec![
+        (STATE_FILE.to_string(), state_k.clone()),
+        (model_k.clone(), model_k_bytes.clone()),
+    ];
+    let with = |base: &[(String, Vec<u8>)], extra: &[(&str, &[u8])]| {
+        let mut files = base.to_vec();
+        files.extend(extra.iter().map(|(n, b)| (n.to_string(), b.to_vec())));
+        files
+    };
+    let model_renamed = with(&old, &[(&model_k1, &model_k1_bytes)]);
+    let new_state = vec![
+        (STATE_FILE.to_string(), state_k1.clone()),
+        (model_k.clone(), model_k_bytes.clone()),
+        (model_k1.clone(), model_k1_bytes.clone()),
+    ];
+    let kill_states = [
+        ("before the model write", old.clone()),
+        ("model tmp torn", with(&old, &[(&model_tmp, &half(&model_k1_bytes))])),
+        ("model tmp written, not renamed", with(&old, &[(&model_tmp, &model_k1_bytes)])),
+        ("model renamed, state not yet written", model_renamed.clone()),
+        ("state tmp torn", with(&model_renamed, &[(&state_tmp, &half(&state_k1))])),
+        ("state tmp written, not renamed", with(&model_renamed, &[(&state_tmp, &state_k1)])),
+        ("state renamed, old model not yet removed", new_state.clone()),
+        ("old model removed", new_state[..1].iter().chain(&new_state[2..]).cloned().collect()),
+    ];
+    for (what, files) in kill_states {
+        let dir = tmp_dir("kill-state");
+        for (name, bytes) in &files {
+            std::fs::write(dir.join(name), bytes).expect("write kill state");
+        }
+        let mut resumed =
+            Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
+                .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+        let left = n_rounds - resumed.rounds_done();
+        resumed.optimize_all(left, 4);
+        assert_eq!(history_bits(&resumed), history_bits(&base), "{what}");
+        assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits(), "{what}");
+        assert_tasks_bit_identical(&base, &resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // A model file whose bytes no longer hash to its recorded name is
+    // rejected rather than loaded.
+    let dir = tmp_dir("kill-corrupt");
+    let mut corrupt = model_k1_bytes.clone();
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 1;
+    std::fs::write(dir.join(STATE_FILE), &state_k1).expect("write state");
+    std::fs::write(dir.join(&model_k1), &corrupt).expect("write model");
+    let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
+        .err()
+        .expect("a corrupt model must be rejected");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

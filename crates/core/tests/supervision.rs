@@ -259,7 +259,7 @@ fn health_records_replay_restores_degradation_state() {
             .any(|m| *m != SketchMode::Gradient),
         "the scenario must actually degrade something"
     );
-    let records = felix_records::read_all_records(&log).expect("read log");
+    let records = felix_records::read_log::<Record>(&log).expect("read log");
     assert!(
         records.iter().any(|r| matches!(r, Record::Health(_))),
         "degraded rounds must append health records"

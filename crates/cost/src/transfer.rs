@@ -206,7 +206,7 @@ mod tests {
     use super::*;
     use crate::sampling::random_schedule;
     use crate::trainer::fine_tune;
-    use felix_records::{RecordLog, RecordOutcome, TuningRecord};
+    use felix_records::{Record, RecordLog, RecordOutcome, TuningRecord};
     use felix_sim::Simulator;
     use std::path::PathBuf;
 
@@ -233,7 +233,7 @@ mod tests {
     fn write_log(path: &Path, device: &DeviceConfig, per_sketch: usize, seed: u64) {
         let sim = Simulator::new(*device);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut log = RecordLog::open(path).expect("open log");
+        let (mut log, _) = RecordLog::open(path).expect("open log");
         for sg in workloads() {
             let key = task_key(&sg.workload_key(), device.name);
             let hw = hardware_params(device);
@@ -245,7 +245,7 @@ mod tests {
                 for i in 0..per_sketch {
                     let vals = random_schedule(&p, &mut rng, 64);
                     let latency = sim.measure(&p, &fs, &vals, &mut rng);
-                    log.append(&TuningRecord {
+                    log.append(&Record::Measurement(TuningRecord {
                         task_key: key,
                         task_name: sg.name(),
                         sketch: 0,
@@ -254,7 +254,7 @@ mod tests {
                         outcome: RecordOutcome::Ok(latency),
                         retries: i % 2,
                         time_s: i as f64,
-                    })
+                    }))
                     .expect("append");
                 }
             }
@@ -346,36 +346,36 @@ mod tests {
         let template = good[0].clone();
 
         // Pollute the log with every skip class.
-        let mut log = RecordLog::open(&path).expect("reopen");
+        let (mut log, _) = RecordLog::open(&path).expect("reopen");
         // Duplicate of an already-ingested line.
-        log.append(&template).expect("dup");
+        log.append(&Record::Measurement(template.clone())).expect("dup");
         // Fault-marked record (fresh values so it isn't deduped first).
         let mut fault = template.clone();
         fault.values[0] += 1.0;
         fault.outcome = RecordOutcome::Fault("timeout".to_string());
-        log.append(&fault).expect("fault");
+        log.append(&Record::Measurement(fault.clone())).expect("fault");
         // Unknown task.
         let mut unknown = template.clone();
         unknown.task_key ^= 0xDEAD_BEEF;
-        log.append(&unknown).expect("unknown");
+        log.append(&Record::Measurement(unknown.clone())).expect("unknown");
         // Stale sketch name.
         let mut stale_name = template.clone();
         stale_name.sketch_name = "no-such-sketch".to_string();
-        log.append(&stale_name).expect("stale name");
+        log.append(&Record::Measurement(stale_name.clone())).expect("stale name");
         // Stale sketch index.
         let mut stale_idx = template.clone();
         stale_idx.sketch = 99;
-        log.append(&stale_idx).expect("stale idx");
+        log.append(&Record::Measurement(stale_idx.clone())).expect("stale idx");
         // Wrong value count.
         let mut short = template.clone();
         short.values.pop();
-        log.append(&short).expect("short");
+        log.append(&Record::Measurement(short.clone())).expect("short");
         // Values that blow the feature formulas up to non-finite.
         let mut huge = template.clone();
         for v in &mut huge.values {
             *v = 1e200;
         }
-        log.append(&huge).expect("huge");
+        log.append(&Record::Measurement(huge.clone())).expect("huge");
         drop(log);
 
         let scan = |p: &Path| {

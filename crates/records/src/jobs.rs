@@ -33,19 +33,19 @@
 //! cumulative per-job crash counter so a poison job is parked as
 //! `quarantined` on replay instead of crash-looping the daemon forever.
 //!
-//! The wire format follows the crate's house rules: JSONL with one record
-//! per line, flush-per-append durability, torn tails skipped on read, and
-//! every fractional number encoded as a 16-hex-digit bit pattern so replay
-//! is bit-exact. [`JobWal::compact`] rewrites the log to its canonical
-//! minimal form (one submit line plus at most cancel/crash/terminal lines
-//! per job) through the same atomic tmp+fsync+rename codec the schedule
-//! store uses, so terminal jobs stop costing startup time and disk.
+//! The WAL is an [`AppendLog`] of [`JobRecord`]s, so it follows the crate's
+//! house rules: one record per line, each appended whole, torn tails
+//! skipped on read, and every fractional number encoded as a 16-hex-digit
+//! bit pattern so replay is bit-exact. Compacting it with
+//! [`QueueState::canonical_records`] rewrites the log to its minimal form
+//! (one submit line plus at most cancel/crash/terminal lines per job)
+//! through [`crate::atomic_write`], so terminal jobs stop costing startup
+//! time and disk.
 
+use crate::durable::{read_log, AppendLog, LogRecord};
 use crate::Json;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Version of the job-record wire format. Bumped whenever a field is
 /// added, removed, or re-encoded; readers skip lines from a newer version
@@ -281,119 +281,33 @@ impl JobRecord {
     }
 }
 
-/// The append side of the job WAL: flush-per-append, so once `append`
-/// returns the record survives any crash of this process.
-#[derive(Debug)]
-pub struct JobWal {
-    path: PathBuf,
-    writer: BufWriter<File>,
-}
-
-impl JobWal {
-    /// Opens (creating if needed) the WAL at `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening the file.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<JobWal> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(JobWal { path, writer: BufWriter::new(file) })
+/// Delegates to the inherent codec, which stays public for readers that do
+/// not import [`LogRecord`].
+impl LogRecord for JobRecord {
+    fn to_json(&self) -> Json {
+        JobRecord::to_json(self)
     }
 
-    /// The WAL's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one record and flushes it to the OS.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing.
-    pub fn append(&mut self, record: &JobRecord) -> std::io::Result<()> {
-        let mut line = record.to_json().write();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
-    }
-
-    /// Reads every intact record currently in the WAL (see
-    /// [`read_job_records`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading the file.
-    pub fn read_records(&self) -> std::io::Result<Vec<JobRecord>> {
-        read_job_records(&self.path)
-    }
-
-    /// Rewrites the WAL to the canonical record sequence of `state` (see
-    /// [`QueueState::canonical_records`]) through the atomic
-    /// tmp+fsync+rename codec, mirroring `ScheduleStore::compact`: a
-    /// reader (or a crash) concurrent with the compaction sees either the
-    /// old log or the compacted one, never a torn mix, and both replay to
-    /// the same recovery state. Claim lines are dropped (they carry no
-    /// recovery weight), duplicate and superseded lines collapse to one
-    /// line each. Returns the number of lines written.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing, syncing, renaming, or reopening
-    /// the append handle.
-    pub fn compact(&mut self, state: &QueueState) -> std::io::Result<usize> {
-        let records = state.canonical_records();
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for record in &records {
-                let mut line = record.to_json().write();
-                line.push('\n');
-                f.write_all(line.as_bytes())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // The old append handle still points at the pre-rename inode;
-        // reopen so future appends land in the compacted file.
-        let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        Ok(records.len())
+    fn from_json(doc: &Json) -> Option<JobRecord> {
+        JobRecord::from_json(doc)
     }
 }
+
+/// The job WAL. Compact it with [`QueueState::canonical_records`]: claim
+/// lines drop out (they carry no recovery weight) and duplicate or
+/// superseded lines collapse to one each, so the old and the compacted log
+/// replay to the same recovery state.
+pub type JobWal = AppendLog<JobRecord>;
 
 /// Reads the intact job records of a WAL at `path`, in append order. A
 /// missing file reads as an empty log; torn, corrupt, non-job, or
-/// newer-version lines are skipped with the same rules as
-/// [`crate::read_all_records`].
+/// newer-version lines are skipped.
 ///
 /// # Errors
 ///
 /// Returns I/O errors other than the file not existing.
 pub fn read_job_records(path: impl AsRef<Path>) -> std::io::Result<Vec<JobRecord>> {
-    let mut bytes = Vec::new();
-    match File::open(path.as_ref()) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let mut out = Vec::new();
-    // Only newline-terminated lines count: a line missing its terminator is
-    // by definition the torn tail of an interrupted append.
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(line) = line.strip_suffix(b"\n") else { break };
-        let Ok(text) = std::str::from_utf8(line) else { continue };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let Ok(doc) = Json::parse(text) else { continue };
-        if let Some(rec) = JobRecord::from_json(&doc) {
-            out.push(rec);
-        }
-    }
-    Ok(out)
+    read_log(path)
 }
 
 /// A job still in the queue (submitted, not yet terminal).
@@ -542,7 +456,7 @@ impl QueueState {
     /// per job, in submission order — its submit line, then (live jobs
     /// only) its cancel request and crash count if any, then its terminal
     /// line if any. Claims are omitted; they carry no recovery weight.
-    /// This is what [`JobWal::compact`] writes.
+    /// This is what a [`JobWal`] compacts to.
     pub fn canonical_records(&self) -> Vec<JobRecord> {
         let mut out = Vec::new();
         for job in &self.submitted {
@@ -585,6 +499,9 @@ impl QueueState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -682,11 +599,11 @@ mod tests {
     #[test]
     fn records_round_trip_bit_exactly() {
         let path = tmp_path("roundtrip");
-        let mut wal = JobWal::open(&path).expect("open");
+        let (mut wal, _) = JobWal::open(&path).expect("open");
         for r in lifecycle_records() {
             wal.append(&r).expect("append");
         }
-        let back = wal.read_records().expect("read");
+        let back = read_job_records(wal.path()).expect("read");
         assert_eq!(back, lifecycle_records());
         let JobRecord::Finished { latency_ms, .. } = &back[3] else { panic!("done") };
         assert_eq!(latency_ms.to_bits(), (0.1f64 + 0.2).to_bits());
@@ -751,7 +668,7 @@ mod tests {
     #[test]
     fn torn_tail_and_foreign_lines_are_skipped() {
         let path = tmp_path("torn");
-        let mut wal = JobWal::open(&path).expect("open");
+        let (mut wal, _) = JobWal::open(&path).expect("open");
         for r in sample_records() {
             wal.append(&r).expect("append");
         }
@@ -804,7 +721,7 @@ mod tests {
         for keep in [8, 9, 10, 11, 12, 13, records.len()] {
             let prefix = &records[..keep];
             let path = tmp_path("lifecycle-torn");
-            let mut wal = JobWal::open(&path).expect("open");
+            let (mut wal, _) = JobWal::open(&path).expect("open");
             for r in prefix {
                 wal.append(&r.clone()).expect("append");
             }
@@ -830,7 +747,7 @@ mod tests {
     #[test]
     fn compaction_preserves_recovery_state_and_drops_claims() {
         let path = tmp_path("compact");
-        let mut wal = JobWal::open(&path).expect("open");
+        let (mut wal, _) = JobWal::open(&path).expect("open");
         let mut records = lifecycle_records();
         // Pile on redundancy: duplicate terminals, claims from three
         // restarts, superseded crash counts.
@@ -842,8 +759,9 @@ mod tests {
         for r in &records {
             wal.append(r).expect("append");
         }
-        let before = QueueState::replay(&wal.read_records().expect("read"));
-        let lines = wal.compact(&before).expect("compact");
+        let before = QueueState::replay(&read_job_records(wal.path()).expect("read"));
+        wal.compact(&before.canonical_records()).expect("compact");
+        let lines = wal.lines();
         assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
         let on_disk = std::fs::read_to_string(&path).expect("read");
         assert_eq!(on_disk.lines().count(), lines);
@@ -853,7 +771,7 @@ mod tests {
         // claims aside (observability only, deliberately dropped).
         let mut reference = before.clone();
         reference.claims.clear();
-        let after = QueueState::replay(&wal.read_records().expect("read"));
+        let after = QueueState::replay(&read_job_records(wal.path()).expect("read"));
         assert_eq!(after, reference);
         // The append handle follows the compacted file.
         let mut wal = wal;
@@ -866,15 +784,15 @@ mod tests {
     #[test]
     fn compaction_is_idempotent() {
         let path = tmp_path("compact-idem");
-        let mut wal = JobWal::open(&path).expect("open");
+        let (mut wal, _) = JobWal::open(&path).expect("open");
         for r in lifecycle_records() {
             wal.append(&r).expect("append");
         }
-        let state = QueueState::replay(&wal.read_records().expect("read"));
-        wal.compact(&state).expect("compact");
+        let state = QueueState::replay(&read_job_records(wal.path()).expect("read"));
+        wal.compact(&state.canonical_records()).expect("compact");
         let once = std::fs::read(&path).expect("read");
-        let state = QueueState::replay(&wal.read_records().expect("read"));
-        wal.compact(&state).expect("compact again");
+        let state = QueueState::replay(&read_job_records(wal.path()).expect("read"));
+        wal.compact(&state.canonical_records()).expect("compact again");
         assert_eq!(std::fs::read(&path).expect("read"), once, "second compact is a no-op");
         std::fs::remove_file(&path).ok();
     }

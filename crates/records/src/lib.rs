@@ -3,25 +3,32 @@
 //! Real autotuners treat measurement records as the durable asset: Ansor
 //! replays its JSON log files to warm-start search, and TenSet is built
 //! entirely out of persisted records. This crate gives the reproduction the
-//! same property with two primitives:
+//! same property, and every file it persists goes through one layer,
+//! [`durable`]:
 //!
-//! - [`RecordLog`] — an append-only JSONL log of every hardware measurement
-//!   (one [`TuningRecord`] per line). Appends are flushed per record, so a
-//!   crash loses at most the record being written; the reader recovers the
-//!   intact prefix of a truncated log without error.
-//! - [`write_document`] / [`read_document`] — crash-safe whole-document
-//!   persistence for checkpoints: the document is written to a temporary
-//!   file, fsynced, and renamed into place, so a reader never observes a
-//!   torn checkpoint.
+//! - [`durable::atomic_write`] — the one whole-file writer: sibling
+//!   temporary, fsync, rename, then fsync of the directory, so a reader
+//!   never observes a torn file and a finished write survives power loss.
+//!   Checkpoint documents ([`write_document`]), model files, result
+//!   documents, and every log compaction use it.
+//! - [`durable::AppendLog`] — the one append-only JSONL log: one record per
+//!   line, each appended whole, replayed by keeping exactly the
+//!   newline-terminated lines that parse. Reopening a log whose tail was
+//!   torn by a crash first terminates the fragment, so the next record is
+//!   never glued onto it. The measurement log ([`RecordLog`]), the
+//!   best-schedule store ([`ScheduleStore`]), and the serving tier's job
+//!   WAL ([`JobWal`]) are all instances.
 //!
 //! Everything is dependency-free; JSON comes from the in-crate [`json`]
 //! module, whose number formatting round-trips every finite `f64`
 //! bit-exactly (the foundation of the byte-identical resume guarantee).
 
+pub mod durable;
 pub mod jobs;
 pub mod json;
 pub mod store;
 
+pub use durable::{atomic_write, read_log, AppendLog, LogRecord};
 pub use jobs::{
     read_job_records, JobOutcome, JobRecord, JobWal, QueueState, SubmittedJob, TerminalJob,
     JOB_RECORD_VERSION,
@@ -29,9 +36,7 @@ pub use jobs::{
 pub use json::Json;
 pub use store::{ScheduleStore, StoredSchedule, SCHEDULE_STORE_VERSION};
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// How a logged measurement ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -230,102 +235,58 @@ pub enum Record {
     Health(HealthRecord),
 }
 
+impl LogRecord for Record {
+    fn to_json(&self) -> Json {
+        match self {
+            Record::Measurement(rec) => rec.to_json(),
+            Record::Health(rec) => rec.to_json(),
+        }
+    }
+
+    /// Measurement lines predate record kinds and carry no `kind` field;
+    /// any line *with* a kind is dispatched on it, so a future kind is
+    /// skipped rather than misparsed as a measurement.
+    fn from_json(doc: &Json) -> Option<Record> {
+        match doc.get("kind") {
+            None => TuningRecord::from_json(doc).map(Record::Measurement),
+            Some(_) => HealthRecord::from_json(doc).map(Record::Health),
+        }
+    }
+}
+
+/// The FNV-1a offset basis: the starting state for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `h` — the repo-wide
+/// fingerprint hash behind task keys, store filenames, model filenames,
+/// and RNG substream salts. Start from [`FNV_OFFSET`].
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// Canonical task identity: an FNV-1a hash over the workload key (the
 /// subgraph's stable dedup key) and the device name, so a log can hold
 /// records for many networks and devices and each task replays only its
 /// own.
 pub fn task_key(workload_key: &str, device_name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(workload_key.as_bytes());
-    mix(b"\x00");
-    mix(device_name.as_bytes());
-    h
+    let h = fnv1a(FNV_OFFSET, workload_key.as_bytes());
+    fnv1a(fnv1a(h, b"\x00"), device_name.as_bytes())
 }
 
-/// An append-only JSONL measurement log.
-///
-/// The writer flushes every record, so an interrupted run loses at most the
-/// line being written when the process died. [`RecordLog::read_records`]
-/// tolerates exactly that failure mode: a record counts only if its line is
-/// newline-terminated and parses, so a truncated tail is skipped silently
-/// and every intact record before it is recovered.
-#[derive(Debug)]
-pub struct RecordLog {
-    path: PathBuf,
-    writer: BufWriter<File>,
-}
+/// The append-only measurement log: every hardware measurement and
+/// supervisor health report, one [`Record`] per line.
+pub type RecordLog = AppendLog<Record>;
 
-impl RecordLog {
-    /// Opens (creating if needed) a log at `path` for appending.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening the file.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<RecordLog> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(RecordLog { path, writer: BufWriter::new(file) })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one record and flushes it to the OS. After `append` returns,
-    /// a crash of this process can no longer lose the record.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing.
-    pub fn append(&mut self, record: &TuningRecord) -> std::io::Result<()> {
-        self.append_json(&record.to_json())
-    }
-
-    /// Appends one supervisor health report, with the same flush-per-append
-    /// durability as [`RecordLog::append`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing.
-    pub fn append_health(&mut self, record: &HealthRecord) -> std::io::Result<()> {
-        self.append_json(&record.to_json())
-    }
-
-    fn append_json(&mut self, doc: &Json) -> std::io::Result<()> {
-        let mut line = doc.write();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
-    }
-
-    /// Reads every intact record currently in the log (including records
-    /// appended by earlier processes). A truncated or corrupt tail is
-    /// ignored; corruption *before* intact records (torn middle lines from
-    /// e.g. concurrent writers) is skipped line-wise the same way.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading the file.
-    pub fn read_records(&self) -> std::io::Result<Vec<TuningRecord>> {
-        read_records(&self.path)
-    }
-}
-
-/// Reads the intact records of a JSONL log at `path` (see
-/// [`RecordLog::read_records`]). A missing file reads as an empty log.
+/// Reads the intact measurement records of the log at `path`, skipping
+/// health reports. A missing file reads as an empty log.
 ///
 /// # Errors
 ///
 /// Returns I/O errors other than the file not existing.
 pub fn read_records(path: impl AsRef<Path>) -> std::io::Result<Vec<TuningRecord>> {
-    Ok(read_all_records(path)?
+    Ok(read_log::<Record>(path)?
         .into_iter()
         .filter_map(|r| match r {
             Record::Measurement(m) => Some(m),
@@ -334,70 +295,16 @@ pub fn read_records(path: impl AsRef<Path>) -> std::io::Result<Vec<TuningRecord>
         .collect())
 }
 
-/// Reads every intact line of a mixed log at `path` — measurements and
-/// health reports, in append order. A missing file reads as an empty log;
-/// torn, corrupt, or unknown-kind lines are skipped exactly like in
-/// [`read_records`].
-///
-/// # Errors
-///
-/// Returns I/O errors other than the file not existing.
-pub fn read_all_records(path: impl AsRef<Path>) -> std::io::Result<Vec<Record>> {
-    let mut bytes = Vec::new();
-    match File::open(path.as_ref()) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
-    let mut out = Vec::new();
-    // Only newline-terminated lines count: a line missing its terminator is
-    // by definition the torn tail of an interrupted append.
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(line) = line.strip_suffix(b"\n") else { break };
-        let Ok(text) = std::str::from_utf8(line) else { continue };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let Ok(doc) = Json::parse(text) else { continue };
-        // Measurement lines predate record kinds and carry no `kind`
-        // field; any line *with* a kind is dispatched on it, so a future
-        // kind is skipped rather than misparsed as a measurement.
-        match doc.get("kind") {
-            None => {
-                if let Some(rec) = TuningRecord::from_json(&doc) {
-                    out.push(Record::Measurement(rec));
-                }
-            }
-            Some(_) => {
-                if let Some(rec) = HealthRecord::from_json(&doc) {
-                    out.push(Record::Health(rec));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Atomically persists a JSON document at `path`: the bytes are written to
-/// a sibling temporary file, fsynced, and renamed over the target, so a
-/// concurrent or post-crash reader sees either the old document or the new
-/// one — never a torn mix.
+/// Atomically persists a JSON document at `path` (one line) through
+/// [`atomic_write`].
 ///
 /// # Errors
 ///
 /// Returns any I/O error from writing, syncing, or renaming.
 pub fn write_document(path: impl AsRef<Path>, doc: &Json) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(doc.write().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    let mut text = doc.write();
+    text.push('\n');
+    atomic_write(path, text.as_bytes())
 }
 
 /// Reads a JSON document written by [`write_document`].
@@ -414,6 +321,9 @@ pub fn read_document(path: impl AsRef<Path>) -> std::io::Result<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -444,16 +354,17 @@ mod tests {
     #[test]
     fn append_and_read_round_trips() {
         let path = tmp_path("roundtrip");
-        let mut log = RecordLog::open(&path).expect("open");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
         let records: Vec<TuningRecord> = (0..10).map(sample_record).collect();
         for r in &records {
-            log.append(r).expect("append");
+            log.append(&Record::Measurement(r.clone())).expect("append");
         }
-        assert_eq!(log.read_records().expect("read"), records);
+        assert_eq!(read_records(log.path()).expect("read"), records);
         // Reopening appends rather than truncating.
         drop(log);
-        let mut log = RecordLog::open(&path).expect("reopen");
-        log.append(&sample_record(10)).expect("append");
+        let (mut log, replayed) = RecordLog::open(&path).expect("reopen");
+        assert_eq!(replayed.len(), 10);
+        log.append(&Record::Measurement(sample_record(10))).expect("append");
         assert_eq!(read_records(&path).expect("read").len(), 11);
         std::fs::remove_file(&path).ok();
     }
@@ -461,13 +372,13 @@ mod tests {
     #[test]
     fn latencies_round_trip_bit_exactly() {
         let path = tmp_path("bits");
-        let mut log = RecordLog::open(&path).expect("open");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
         let noisy = 1.234_567_890_123_456_7 * (1.0 + 1e-15);
         let mut rec = sample_record(1);
         rec.outcome = RecordOutcome::Ok(noisy);
         rec.time_s = 0.1 + 0.2; // classic non-representable sum
-        log.append(&rec).expect("append");
-        let back = log.read_records().expect("read").remove(0);
+        log.append(&Record::Measurement(rec.clone())).expect("append");
+        let back = read_records(log.path()).expect("read").remove(0);
         let RecordOutcome::Ok(l) = back.outcome else { panic!("ok record") };
         assert_eq!(l.to_bits(), noisy.to_bits());
         assert_eq!(back.time_s.to_bits(), rec.time_s.to_bits());
@@ -482,9 +393,9 @@ mod tests {
     #[test]
     fn truncated_tail_recovers_prefix() {
         let path = tmp_path("trunc");
-        let mut log = RecordLog::open(&path).expect("open");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
         for i in 0..5 {
-            log.append(&sample_record(i)).expect("append");
+            log.append(&Record::Measurement(sample_record(i))).expect("append");
         }
         drop(log);
         let full = std::fs::read(&path).expect("read bytes");
@@ -515,10 +426,10 @@ mod tests {
     #[test]
     fn health_record_round_trips_bit_exactly() {
         let path = tmp_path("health");
-        let mut log = RecordLog::open(&path).expect("open");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
         let rec = sample_health(2);
-        log.append_health(&rec).expect("append");
-        let all = read_all_records(&path).expect("read");
+        log.append(&Record::Health(rec.clone())).expect("append");
+        let all = read_log::<Record>(&path).expect("read");
         assert_eq!(all.len(), 1);
         let Record::Health(back) = &all[0] else { panic!("health record") };
         assert_eq!(back, &rec);
@@ -532,11 +443,11 @@ mod tests {
     #[test]
     fn mixed_log_preserves_append_order_and_filters_by_kind() {
         let path = tmp_path("mixed");
-        let mut log = RecordLog::open(&path).expect("open");
-        log.append(&sample_record(1)).expect("append");
-        log.append_health(&sample_health(0)).expect("append");
-        log.append(&sample_record(2)).expect("append");
-        let all = read_all_records(&path).expect("read all");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
+        log.append(&Record::Measurement(sample_record(1))).expect("append");
+        log.append(&Record::Health(sample_health(0))).expect("append");
+        log.append(&Record::Measurement(sample_record(2))).expect("append");
+        let all = read_log::<Record>(&path).expect("read all");
         assert_eq!(
             all,
             vec![
@@ -557,17 +468,17 @@ mod tests {
     #[test]
     fn newer_version_and_unknown_kind_lines_are_skipped() {
         let path = tmp_path("future");
-        let mut log = RecordLog::open(&path).expect("open");
+        let (mut log, _) = RecordLog::open(&path).expect("open");
         let mut future = sample_health(1);
         future.version = HEALTH_RECORD_VERSION + 1;
-        log.append_health(&future).expect("append");
+        log.append(&Record::Health(future)).expect("append");
         drop(log);
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
         writeln!(f, "{{\"kind\":\"telemetry\",\"x\":1}}").expect("write");
         writeln!(f, "{}", sample_record(4).to_json().write()).expect("write");
         drop(f);
         assert_eq!(
-            read_all_records(&path).expect("read"),
+            read_log::<Record>(&path).expect("read"),
             vec![Record::Measurement(sample_record(4))]
         );
         std::fs::remove_file(&path).ok();

@@ -9,14 +9,13 @@
 //! [`StoredSchedule::structure_hash`]) can warm-start its descent from the
 //! cached optimum's values.
 //!
-//! On disk the store is an append-only JSONL improvement log with the same
-//! durability contract as the record log: every insert is flushed, only
-//! newline-terminated lines count on read, and a torn tail is skipped
-//! rather than rejected. Replaying the improvement lines keeps the best
-//! entry per key, so concurrent histories merge to the same state
-//! regardless of interleaving. [`ScheduleStore::compact`] rewrites the file
-//! to one line per key through the atomic tmp+fsync+rename codec, in
-//! deterministic (ascending task-key) order.
+//! On disk the store is an improvement log in the crate's one
+//! [`AppendLog`] format, with the same durability contract as the record
+//! log. Replaying the improvement lines keeps the best entry per key, so
+//! concurrent histories merge to the same state regardless of
+//! interleaving. [`ScheduleStore::compact`] rewrites the file to one line
+//! per key through [`crate::atomic_write`], in deterministic (ascending
+//! task-key) order.
 //!
 //! All floats — schedule values and the latency incumbent — are encoded as
 //! 16-hex-digit bit patterns ([`Json::f64_bits`]), so a schedule read back
@@ -24,11 +23,10 @@
 //! what lets a cache hit feed directly into the bit-reproducible search
 //! state without perturbing it.
 
+use crate::durable::{AppendLog, LogRecord};
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Version of the schedule-store wire format. Bumped whenever a field is
 /// added, removed, or re-encoded; readers skip lines from a newer version
@@ -71,9 +69,8 @@ pub struct StoredSchedule {
     pub latency_ms: f64,
 }
 
-impl StoredSchedule {
-    /// Serializes the entry as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
+impl LogRecord for StoredSchedule {
+    fn to_json(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::Str("schedule".to_string())),
             ("v", Json::Num(SCHEDULE_STORE_VERSION as f64)),
@@ -92,9 +89,9 @@ impl StoredSchedule {
         ])
     }
 
-    /// Decodes an entry parsed from one store line. Returns `None` for
-    /// non-schedule lines and for lines written by a newer format version.
-    pub fn from_json(doc: &Json) -> Option<StoredSchedule> {
+    /// Returns `None` for non-schedule lines and for lines written by a
+    /// newer format version.
+    fn from_json(doc: &Json) -> Option<StoredSchedule> {
         if doc.get("kind")?.as_str()? != "schedule" {
             return None;
         }
@@ -124,14 +121,12 @@ impl StoredSchedule {
 
 /// A persistent map from task key to best known schedule.
 ///
-/// Inserts append one improvement line and flush it (crash loses at most
-/// the line being written); reads replay the intact prefix and keep the
-/// best entry per key. The in-memory index is a `BTreeMap`, so every
-/// iteration order exposed by the store is deterministic.
+/// Inserts append one improvement line; opening replays the intact lines
+/// and keeps the best entry per key. The in-memory index is a `BTreeMap`,
+/// so every iteration order exposed by the store is deterministic.
 #[derive(Debug)]
 pub struct ScheduleStore {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: AppendLog<StoredSchedule>,
     entries: BTreeMap<u64, StoredSchedule>,
     /// Last-update sequence number per task key (in-memory only): replay
     /// order on open, then insert order. Feeds the eviction tiebreak, so
@@ -144,51 +139,28 @@ pub struct ScheduleStore {
 
 impl ScheduleStore {
     /// Opens (creating if needed) a store at `path`, replaying any existing
-    /// improvement lines. Torn, corrupt, or newer-version lines are skipped
-    /// exactly like in [`crate::read_all_records`].
+    /// improvement lines (see [`AppendLog::open`] for which lines count).
     ///
     /// # Errors
     ///
     /// Returns any I/O error from reading or opening the file.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<ScheduleStore> {
-        let path = path.as_ref().to_path_buf();
-        let mut entries = BTreeMap::new();
-        let mut seq = BTreeMap::new();
-        let mut next_seq = 0u64;
-        let mut bytes = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        // Only newline-terminated lines count: a line missing its
-        // terminator is by definition the torn tail of an interrupted
-        // append.
-        for line in bytes.split_inclusive(|&b| b == b'\n') {
-            let Some(line) = line.strip_suffix(b"\n") else { break };
-            let Ok(text) = std::str::from_utf8(line) else { continue };
-            if text.trim().is_empty() {
-                continue;
-            }
-            let Ok(doc) = Json::parse(text) else { continue };
-            let Some(entry) = StoredSchedule::from_json(&doc) else { continue };
-            let key = entry.task_key;
-            if merge_entry(&mut entries, entry) {
-                seq.insert(key, next_seq);
-                next_seq += 1;
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(ScheduleStore {
-            path,
-            writer: BufWriter::new(file),
-            entries,
-            seq,
-            next_seq,
+        let (log, lines) = AppendLog::open(path)?;
+        let mut store = ScheduleStore {
+            log,
+            entries: BTreeMap::new(),
+            seq: BTreeMap::new(),
+            next_seq: 0,
             max_entries: None,
-        })
+        };
+        for entry in lines {
+            let key = entry.task_key;
+            if merge_entry(&mut store.entries, entry) {
+                store.seq.insert(key, store.next_seq);
+                store.next_seq += 1;
+            }
+        }
+        Ok(store)
     }
 
     /// Bounds the store to at most `max` entries, enforced at
@@ -208,7 +180,7 @@ impl ScheduleStore {
 
     /// The store's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Number of distinct tasks with a cached schedule.
@@ -281,10 +253,7 @@ impl ScheduleStore {
                 return Ok(false);
             }
         }
-        let mut line = entry.to_json().write();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
+        self.log.append(&entry)?;
         self.seq.insert(entry.task_key, self.next_seq);
         self.next_seq += 1;
         self.entries.insert(entry.task_key, entry);
@@ -292,9 +261,9 @@ impl ScheduleStore {
     }
 
     /// Rewrites the file to exactly one line per task, in ascending
-    /// task-key order, through the atomic tmp+fsync+rename codec — a
-    /// reader concurrent with a compaction sees either the old improvement
-    /// log or the compacted one, never a torn mix.
+    /// task-key order, through [`AppendLog::compact`] — a reader
+    /// concurrent with a compaction sees either the old improvement log or
+    /// the compacted one, never a torn mix.
     ///
     /// When a [`ScheduleStore::with_max_entries`] bound is set and the
     /// store exceeds it, compaction first evicts down to the bound,
@@ -327,22 +296,7 @@ impl ScheduleStore {
                 self.seq.remove(&victim);
             }
         }
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for entry in self.entries.values() {
-                let mut line = entry.to_json().write();
-                line.push('\n');
-                f.write_all(line.as_bytes())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // The old append handle still points at the pre-rename inode;
-        // reopen so future inserts land in the compacted file.
-        let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        Ok(())
+        self.log.compact(self.entries.values())
     }
 }
 
@@ -373,6 +327,9 @@ fn merge_entry(entries: &mut BTreeMap<u64, StoredSchedule>, entry: StoredSchedul
 mod tests {
     use super::*;
     use crate::task_key;
+    use std::fs::OpenOptions;
+    use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);

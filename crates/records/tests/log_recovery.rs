@@ -3,7 +3,12 @@
 //! no error — the reader's contract is that an interrupted append never
 //! costs more than the record being written.
 
-use felix_records::{read_records, task_key, RecordLog, RecordOutcome, TuningRecord};
+use felix_records::{
+    read_log, read_records, task_key, AppendLog, JobRecord, Json, LogRecord, Record, RecordLog,
+    RecordOutcome, StoredSchedule, TuningRecord,
+};
+use std::fmt::Debug;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -47,9 +52,9 @@ fn truncation_at_every_offset_of_final_line_recovers_prefix() {
     let path = tmp_path("every-offset");
     let records: Vec<TuningRecord> = (0..N).map(make_record).collect();
     {
-        let mut log = RecordLog::open(&path).expect("open log");
+        let (mut log, _) = RecordLog::open(&path).expect("open log");
         for r in &records {
-            log.append(r).expect("append");
+            log.append(&Record::Measurement(r.clone())).expect("append");
         }
     }
     let full = std::fs::read(&path).expect("read log bytes");
@@ -92,9 +97,9 @@ fn truncation_within_earlier_lines_still_recovers_each_intact_prefix() {
     let records: Vec<TuningRecord> = (0..N).map(make_record).collect();
     let mut line_ends = Vec::new();
     {
-        let mut log = RecordLog::open(&path).expect("open log");
+        let (mut log, _) = RecordLog::open(&path).expect("open log");
         for r in &records {
-            log.append(r).expect("append");
+            log.append(&Record::Measurement(r.clone())).expect("append");
             line_ends.push(std::fs::metadata(&path).expect("meta").len() as usize);
         }
     }
@@ -108,4 +113,70 @@ fn truncation_within_earlier_lines_still_recovers_each_intact_prefix() {
         assert_eq!(recovered, records[..intact], "wrong recovery at cut {cut}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Writes `before`, tears the log as a crash mid-append would (half of the
+/// next line, no newline), reopens it, appends `after`, and checks that
+/// every acknowledged record replays — none is glued onto the fragment.
+fn torn_tail_then_append<R: LogRecord + Clone + Debug + PartialEq>(
+    tag: &str,
+    before: &[R],
+    after: &[R],
+) {
+    let path = tmp_path(tag);
+    let (mut log, _) = AppendLog::<R>::open(&path).expect("open");
+    for r in before {
+        log.append(r).expect("append");
+    }
+    drop(log);
+    let torn = after[0].to_json().write();
+    let mut f = std::fs::OpenOptions::new().append(true).open(&path).expect("open raw");
+    f.write_all(&torn.as_bytes()[..torn.len() / 2]).expect("tear");
+    drop(f);
+
+    let (mut log, replayed) = AppendLog::<R>::open(&path).expect("reopen");
+    assert_eq!(replayed, before, "{tag}: intact prefix replays");
+    for r in after {
+        log.append(r).expect("append");
+    }
+    drop(log);
+    let all: Vec<R> = before.iter().chain(after).cloned().collect();
+    assert_eq!(read_log::<R>(&path).expect("read"), all, "{tag}: every acked record replays");
+    let (_, reopened) = AppendLog::<R>::open(&path).expect("reopen again");
+    assert_eq!(reopened, all, "{tag}: a clean tail is left alone");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn append_after_a_torn_tail_keeps_every_acked_record() {
+    let measurements: Vec<Record> = (0..3).map(|i| Record::Measurement(make_record(i))).collect();
+    torn_tail_then_append("torn-log", &measurements[..2], &measurements[2..]);
+
+    let schedules: Vec<StoredSchedule> = (0..2)
+        .map(|i| {
+            let workload = format!("conv2d[{}]", 32 << i);
+            StoredSchedule {
+                task_key: task_key(&workload, "sim-gpu"),
+                workload_key: workload,
+                device: "sim-gpu".to_string(),
+                structure_hash: 0xABCD,
+                sketch: 0,
+                sketch_name: "tile-3".to_string(),
+                generator: 0x5EED,
+                values: vec![4.0, 0.1 + 0.2],
+                latency_ms: 1.5 + i as f64,
+            }
+        })
+        .collect();
+    torn_tail_then_append("torn-store", &schedules[..1], &schedules[1..]);
+
+    let submits: Vec<JobRecord> = (0..2)
+        .map(|job_id| JobRecord::Submitted {
+            job_id,
+            tenant: "acme".to_string(),
+            spec: Json::obj(vec![("model", Json::Str("dcgan".to_string()))]),
+            submitted_at_ms: 1_700_000_000_000 + job_id,
+        })
+        .collect();
+    torn_tail_then_append("torn-wal", &submits[..1], &submits[1..]);
 }

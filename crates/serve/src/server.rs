@@ -92,10 +92,6 @@ impl ServeConfig {
 struct State {
     wal: JobWal,
     queue: QueueState,
-    /// Lines currently in the WAL file (replayed + appended since), the
-    /// quantity the size-triggered compaction compares to the canonical
-    /// replay size.
-    wal_lines: usize,
     /// Jobs a shard adopted in this process (status display only; a
     /// crash resets this, and the replayed queue makes them pending
     /// again, which is exactly their recovery state).
@@ -108,26 +104,17 @@ struct State {
 }
 
 impl State {
-    fn append(&mut self, record: &JobRecord) -> std::io::Result<()> {
-        self.wal.append(record)?;
-        self.wal_lines += 1;
-        Ok(())
-    }
-
-    /// Compacts the WAL when it exceeds its canonical size by more than
-    /// `slack` lines. Claims are observability-only and dropped by the
-    /// canonical form, so the in-memory ones are cleared to keep
-    /// replay-of-file and in-memory state aligned.
+    /// Compacts the WAL when its line count ([`JobWal::lines`]) exceeds
+    /// its canonical size by more than `slack` lines. Claims are
+    /// observability-only and dropped by the canonical form, so the
+    /// in-memory ones are cleared to keep replay-of-file and in-memory
+    /// state aligned.
     fn compact_if_oversized(&mut self, slack: usize) {
-        let canonical = self.queue.canonical_len();
-        if self.wal_lines <= canonical + slack {
+        if self.wal.lines() <= self.queue.canonical_len() + slack {
             return;
         }
-        match self.wal.compact(&self.queue) {
-            Ok(lines) => {
-                self.wal_lines = lines;
-                self.queue.claims.clear();
-            }
+        match self.wal.compact(&self.queue.canonical_records()) {
+            Ok(()) => self.queue.claims.clear(),
             Err(e) => eprintln!("[felix-serve] WAL compaction failed: {e}"),
         }
     }
@@ -186,33 +173,21 @@ impl Server {
     /// Returns any I/O error from the data directory, WAL, or socket.
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&config.data_dir)?;
-        let mut wal = JobWal::open(config.data_dir.join(WAL_FILE))?;
-        let records = wal.read_records()?;
-        let mut wal_lines = records.len();
-        let queue = QueueState::replay(&records);
+        let (wal, records) = JobWal::open(config.data_dir.join(WAL_FILE))?;
+        let mut state = State {
+            wal,
+            queue: QueueState::replay(&records),
+            running: std::collections::BTreeSet::new(),
+            draining: false,
+        };
         // Startup compaction: replay already paid the cost of the stale
         // lines; rewrite so the next startup doesn't. Atomic, so a crash
         // mid-compaction leaves either log, both replaying identically.
-        let mut queue = queue;
-        if wal_lines > queue.canonical_len() {
-            match wal.compact(&queue) {
-                Ok(lines) => {
-                    wal_lines = lines;
-                    queue.claims.clear();
-                }
-                Err(e) => eprintln!("[felix-serve] startup WAL compaction failed: {e}"),
-            }
-        }
+        state.compact_if_oversized(0);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                wal,
-                queue,
-                wal_lines,
-                running: std::collections::BTreeSet::new(),
-                draining: false,
-            }),
+            state: Mutex::new(state),
             work: Condvar::new(),
             data_dir: config.data_dir.clone(),
             n_shards: config.shards.max(1),
@@ -390,7 +365,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     for job in &plan.adopt {
                         st.running.insert(job.job_id);
                         let claim = JobRecord::Claimed { job_id: job.job_id, shard: index };
-                        if let Err(e) = st.append(&claim) {
+                        if let Err(e) = st.wal.append(&claim) {
                             eprintln!("[felix-serve] claim append failed: {e}");
                         }
                         st.queue.claims.insert(job.job_id, index);
@@ -448,7 +423,7 @@ fn complete(shared: &Shared, record: JobRecord) {
         unreachable!("complete() only takes terminal records");
     };
     let mut st = shared.lock();
-    if let Err(e) = st.append(&record) {
+    if let Err(e) = st.wal.append(&record) {
         eprintln!("[felix-serve] terminal append failed: {e}");
     }
     st.queue.terminal.entry(job_id).or_insert_with(|| TerminalJob {
@@ -469,7 +444,7 @@ fn complete(shared: &Shared, record: JobRecord) {
 fn record_crash(shared: &Shared, job_id: u64) {
     let mut st = shared.lock();
     let count = st.queue.crash_counts.get(&job_id).copied().unwrap_or(0) + 1;
-    if let Err(e) = st.append(&JobRecord::CrashCounted { job_id, count }) {
+    if let Err(e) = st.wal.append(&JobRecord::CrashCounted { job_id, count }) {
         eprintln!("[felix-serve] crash-count append failed: {e}");
     }
     st.queue.crash_counts.insert(job_id, count);
@@ -561,7 +536,7 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             };
             // Durability before acknowledgment: the flush happens inside
             // `append`; only then does the client hear `ack`.
-            if let Err(e) = st.append(&record) {
+            if let Err(e) = st.wal.append(&record) {
                 return Response::Error { message: format!("queue append failed: {e}") };
             }
             st.queue.submitted.push(SubmittedJob { job_id, tenant, spec, submitted_at_ms });
@@ -592,7 +567,7 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             if !st.queue.terminal.contains_key(&job_id)
                 && !st.queue.cancel_requested.contains(&job_id)
             {
-                if let Err(e) = st.append(&JobRecord::CancelRequested { job_id }) {
+                if let Err(e) = st.wal.append(&JobRecord::CancelRequested { job_id }) {
                     return Response::Error {
                         message: format!("cancel append failed: {e}"),
                     };

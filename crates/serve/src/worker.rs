@@ -30,7 +30,7 @@ use felix::persist::STATE_FILE;
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::{job_priority, network_latency};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
-use felix_records::{write_document, JobRecord, Json};
+use felix_records::{fnv1a, write_document, JobRecord, Json, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -59,11 +59,7 @@ pub fn result_path(data_dir: &Path, job_id: u64) -> PathBuf {
 /// of the exact tenant string next to a readable sanitized prefix, so
 /// distinct tenants never share a file even when sanitization collides.
 pub fn store_path(data_dir: &Path, tenant: &str) -> PathBuf {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in tenant.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = fnv1a(FNV_OFFSET, tenant.as_bytes());
     let prefix: String = tenant
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
@@ -432,4 +428,39 @@ fn result_document(job: &ActiveJob) -> Json {
         ("latency_ms", Json::f64_bits(network_latency(job.opt.tasks()))),
         ("kernels", Json::Arr(kernels)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// These hashes are stored on disk (task keys inside every record and
+    /// store line, tenant store filenames) or seed RNG substreams, so they
+    /// must never drift. The expected values were computed by the original
+    /// per-module FNV-1a loops before they were folded into
+    /// `felix_records::fnv1a`.
+    #[test]
+    fn hash_outputs_match_their_pinned_values() {
+        assert_eq!(
+            felix_records::task_key("[Dense { m: 256, k: 512, n: 512 }]", "RTX A5000"),
+            0xda0f_2671_79f2_ca6b
+        );
+        assert_eq!(felix_records::task_key("", ""), 0xaf63_bd4c_8601_b7df);
+        let data = Path::new("data");
+        assert_eq!(
+            store_path(data, "acme"),
+            data.join("schedules").join("acme-0724d383f4f6de0f.jsonl")
+        );
+        assert_eq!(
+            store_path(data, "tenant/with spaces"),
+            data.join("schedules").join("tenant_with_spaces-143ef62b21d13b71.jsonl")
+        );
+        let salt = felix::health::restart_salt("dense[256, 512]", 7);
+        assert_eq!(salt, 0x9fd8_cbfb_ba1d_f0da);
+        assert_eq!(felix::health::restart_stream(salt, 3, 2), 0x830b_664c_02da_135b);
+        assert_eq!(
+            felix::tape_cache::sketch_bucket("multi-level-tiling", 6),
+            0xea8a_1594_4711_e1db
+        );
+    }
 }

@@ -245,7 +245,7 @@ fn poison_jobs_are_quarantined_while_healthy_tenants_keep_running() {
     // The replay must park it without ever touching an optimizer.
     let parked_id = 7u64;
     {
-        let mut wal = JobWal::open(dir.join("wal.jsonl")).expect("open wal");
+        let (mut wal, _) = JobWal::open(dir.join("wal.jsonl")).expect("open wal");
         wal.append(&JobRecord::Submitted {
             job_id: parked_id,
             tenant: "poison".to_string(),

@@ -40,10 +40,17 @@ cargo test -q -p felix --test fault_tolerance zero_fault_plan_is_byte_identical_
 # from disk, and byte-compare the concatenated time-vs-latency curve against
 # an uninterrupted run — at 1 and 4 tuner threads (the test loops over both).
 # Store-disabled parity (empty record log bit-identical at 1/2/4 threads) and
-# crash-truncated log recovery run alongside.
+# crash-truncated log recovery run alongside. The kill-state test resumes
+# from every directory a kill between two checkpoints can leave (torn tmp
+# files, model committed but state not yet, stale model not yet removed)
+# and byte-compares against the uninterrupted run; the torn-tail test
+# appends after a crash-torn line in the record log, schedule store, and
+# job WAL and requires every acknowledged record to replay.
 cargo test -q -p felix --test persistence resume_from_checkpoint_matches_uninterrupted_curve
 cargo test -q -p felix --test persistence empty_record_log_is_bit_identical_at_every_thread_count
+cargo test -q -p felix --test persistence every_kill_state_between_two_checkpoints_resumes_byte_identically
 cargo test -q -p felix-records --test log_recovery
+cargo test -q -p felix-records --test log_recovery append_after_a_torn_tail_keeps_every_acked_record
 
 # Supervision smoke: the descent supervisor must be invisible on a healthy
 # run (supervision-on candidates/curves/tasks byte-identical to
