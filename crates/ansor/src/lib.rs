@@ -548,10 +548,8 @@ pub struct TunerStats {
     /// point or of an already-measured schedule (rounding collapsed distinct
     /// relaxed points onto one lattice point).
     pub rounding_rejection_rate: f64,
-    /// Compiled-objective cache hits (sketch objectives reused from an
-    /// earlier round on the same task).
-    pub cache_hits: usize,
-    /// Compiled-objective cache misses (objectives built this round).
+    /// Sketch objectives built this round (tape-cache misses and stale
+    /// rebuilds).
     pub cache_misses: usize,
     /// Worker threads the round ran on (1 = serial).
     pub threads: usize,
@@ -581,21 +579,11 @@ pub struct TunerStats {
     /// Wall-clock descent overrun charged to the tuning clock this round
     /// (seconds; zero unless the deadline watchdog fired).
     pub deadline_overrun_s: f64,
-    /// Tasks served a finished schedule straight from a persistent
-    /// schedule store (exact cache hit: no tuning, no RNG or clock spend).
-    /// Zero for every proposer round; reported by the cache layer.
-    pub schedule_cache_hits: usize,
-    /// Tasks warm-started from a structurally matching store entry.
-    pub schedule_cache_warm_starts: usize,
-    /// Store entries skipped because they were written by a different
-    /// sketch-generator version (stale fingerprint). Zero for every
-    /// proposer round; reported by the cache layer.
-    pub schedule_cache_stale: usize,
-    /// Sketch objectives served from a shared cross-task tape cache this
-    /// round (compiled-tape compiles skipped entirely).
+    /// Sketch objectives served from the tape cache this round — built in
+    /// an earlier round or by another task with an identical objective.
     pub tape_cache_hits: usize,
-    /// Shared tape-cache entries evicted as stale (built under a different
-    /// sketch-generator fingerprint) while building this round's
+    /// Tape-cache entries evicted as stale (built under a different
+    /// sketch-generator fingerprint) while looking up this round's
     /// objectives.
     pub tape_cache_stale: usize,
 }
@@ -611,8 +599,8 @@ impl TunerStats {
             self.candidates,
             self.penalty_violation_rate * 100.0,
             self.rounding_rejection_rate * 100.0,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
+            self.tape_cache_hits,
+            self.tape_cache_hits + self.cache_misses,
             self.tape_nodes,
             self.pool_nodes,
             self.tape_compile_s * 1e3,
@@ -634,22 +622,8 @@ impl TunerStats {
                 self.deadline_overrun_s,
             ));
         }
-        if self.schedule_cache_hits > 0
-            || self.schedule_cache_warm_starts > 0
-            || self.schedule_cache_stale > 0
-        {
-            line.push_str(&format!(
-                " sched-cache[hit {} warm {} stale {}]",
-                self.schedule_cache_hits,
-                self.schedule_cache_warm_starts,
-                self.schedule_cache_stale,
-            ));
-        }
-        if self.tape_cache_hits > 0 || self.tape_cache_stale > 0 {
-            line.push_str(&format!(
-                " tape-cache[hit {} stale {}]",
-                self.tape_cache_hits, self.tape_cache_stale,
-            ));
+        if self.tape_cache_stale > 0 {
+            line.push_str(&format!(" tape-cache[stale {}]", self.tape_cache_stale));
         }
         line
     }

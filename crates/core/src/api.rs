@@ -193,11 +193,8 @@ impl Optimizer {
     /// fingerprint — see `felix_tir::sketch::generator_hash`) are rejected
     /// as clean misses and counted, never served.
     ///
-    /// Cache activity is reported as one [`TunerStats`] entry (with
-    /// `schedule_cache_hits` / `schedule_cache_warm_starts` /
-    /// `schedule_cache_stale` set) pushed onto [`Optimizer::stats`] — only
-    /// when the store actually served or rejected something, so an empty
-    /// store leaves the run byte-identical to a storeless one.
+    /// Cache activity (hits, warm starts, stale rejections) is read from
+    /// [`Optimizer::schedule_cache`].
     ///
     /// # Errors
     ///
@@ -225,29 +222,19 @@ impl Optimizer {
         for task in &mut self.tasks {
             cache.apply(task, device);
         }
-        if cache.hits + cache.warm_starts + cache.stale > 0 {
-            self.stats.push(TunerStats {
-                schedule_cache_hits: cache.hits,
-                schedule_cache_warm_starts: cache.warm_starts,
-                schedule_cache_stale: cache.stale,
-                ..Default::default()
-            });
-        }
         self.schedule_store = Some(cache);
         Ok(self)
     }
 
-    /// Attaches a shared cross-task tape cache
-    /// ([`crate::tape_cache::TapeCache`]): sketch-objective builds (the
-    /// smoothing → substitution → simplification → tape-compile pipeline,
-    /// by far the most expensive per-task setup step) first consult the
-    /// cache and share compiled tapes across structurally identical
-    /// sketches — across this optimizer's tasks and across every optimizer
-    /// holding a clone of the same `Arc` (the serving tier's worker
-    /// shards). Builds are deterministic in exactly the fingerprinted
-    /// inputs, so tuning results are bit-identical with or without the
-    /// cache; entries from a different sketch-generator fingerprint are
-    /// evicted as stale and rebuilt, never served.
+    /// Replaces the proposer's private tape cache
+    /// ([`crate::tape_cache::TapeCache`]) with a shared one, so
+    /// sketch-objective builds (the smoothing → substitution →
+    /// simplification → tape-compile pipeline, by far the most expensive
+    /// per-task setup step) are shared across every optimizer holding a
+    /// clone of the same `Arc`. Builds are deterministic in exactly the
+    /// fingerprinted inputs, so tuning results are bit-identical whichever
+    /// cache serves them; entries from a different sketch-generator
+    /// fingerprint are evicted as stale and rebuilt, never served.
     #[must_use]
     pub fn with_shared_tape_cache(mut self, cache: std::sync::Arc<crate::TapeCache>) -> Self {
         self.proposer = self.proposer.with_shared_tape_cache(cache);

@@ -8,15 +8,20 @@
 //!
 //! # Parallel, batched execution
 //!
+//! Each sketch's objective is built once and kept in the proposer's
+//! [`TapeCache`], the one objective cache: later rounds of a task, and
+//! structurally identical sketches of other tasks, look it up by exact
+//! fingerprint instead of rebuilding it.
+//!
 //! Both halves of each Adam step are batched. The expression side runs on
 //! each sketch's compiled gradient tape
-//! ([`felix_expr::CompiledGradTape`], built once per objective): seeds
-//! sharing a sketch sweep the tape's fused forward and reverse passes in
-//! one structure-of-arrays pass over all lanes, with per-worker scratch
-//! buffers reused across steps so the steady-state loop is allocation-free.
-//! The cost model is evaluated in matrix-shaped batches: each Adam step
-//! makes one [`Mlp::input_gradient_batch`] call over all the seeds a worker
-//! owns instead of `nSeeds` scalar calls, and candidate ranking batches its
+//! ([`felix_expr::CompiledGradTape`]): seeds sharing a sketch sweep the
+//! tape's fused forward and reverse passes in one structure-of-arrays pass
+//! over all lanes, with per-worker scratch buffers reused across steps so
+//! the steady-state loop is allocation-free. The cost model is evaluated
+//! in matrix-shaped batches: each Adam step makes one
+//! [`Mlp::input_gradient_batch_cols`] call over all the seeds a worker owns
+//! instead of `nSeeds` scalar calls, and candidate ranking batches its
 //! predictions the same way. Independent seeds (and independent sketch
 //! objectives) run on a scoped-thread pool ([`crate::parallel`]) whose
 //! workers self-schedule from a shared queue. Every batched MLP row is
@@ -43,7 +48,7 @@ use felix_sim::TuningClock;
 use felix_tir::sketch::round_to_valid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Random draws per non-warm seed slot; the best-predicted draw becomes the
@@ -108,96 +113,78 @@ struct Seed {
 pub struct GradientProposer {
     /// Hyperparameters.
     pub options: FelixOptions,
-    objectives: HashMap<String, Vec<Arc<SketchObjective>>>,
-    tape_cache: Option<Arc<TapeCache>>,
+    tape_cache: Arc<TapeCache>,
     trace: Vec<f64>,
     stats: Vec<TunerStats>,
     health: HealthReport,
 }
 
 impl GradientProposer {
-    /// A proposer with the given options.
+    /// A proposer with the given options and a fresh, private tape cache.
     pub fn new(options: FelixOptions) -> Self {
         GradientProposer {
             options,
-            objectives: HashMap::new(),
-            tape_cache: None,
+            tape_cache: Arc::new(TapeCache::new()),
             trace: Vec::new(),
             stats: Vec::new(),
             health: HealthReport::default(),
         }
     }
 
-    /// Attaches a shared cross-task tape cache: objective builds first
-    /// consult (and on miss populate) `cache`, so structurally identical
-    /// sketches — across tasks, or across optimizers sharing the cache —
-    /// compile their gradient tapes once. Objective builds are
-    /// deterministic in exactly the fingerprinted inputs, so search
-    /// results are bit-identical with or without the cache.
+    /// Replaces the proposer's private tape cache with a shared one, so
+    /// structurally identical sketches compile their gradient tapes once
+    /// across every optimizer holding the same `Arc`. Objective builds are
+    /// deterministic in exactly the fingerprinted inputs, so search results
+    /// are bit-identical whichever cache serves them.
     #[must_use]
     pub fn with_shared_tape_cache(mut self, cache: Arc<TapeCache>) -> Self {
-        self.tape_cache = Some(cache);
+        self.tape_cache = cache;
         self
     }
 
-    /// Returns the cached compiled objectives for `task`, building them (in
+    /// Returns `task`'s compiled sketch objectives: each sketch is looked
+    /// up in the tape cache by bucket and exact fingerprint, and built (in
     /// parallel over sketches — each build is deterministic and
-    /// independent) on first sight. A shared [`TapeCache`], when attached,
-    /// is consulted before building and populated after. Reports hit/miss
-    /// (and tape-cache hit/stale) into `stats`.
+    /// independent) and inserted on a miss. Reports builds
+    /// (`cache_misses`), hits and stale evictions into `stats`.
     ///
-    /// The memo is keyed by `workload_key`, not display name: display
-    /// names can collide across tasks with different extents (two dense
-    /// layers differing only in the reduction size), and a name-keyed memo
-    /// would serve one of them objectives compiled for the other's
-    /// program.
-    fn objectives_for<'a>(
-        objectives: &'a mut HashMap<String, Vec<Arc<SketchObjective>>>,
-        tape_cache: Option<&Arc<TapeCache>>,
+    /// The fingerprint covers every pool constant, so two tasks whose
+    /// sketches share names but differ in extents (two dense layers
+    /// differing only in the reduction size) never share an objective.
+    fn objectives_for(
+        &self,
         task: &SearchTask,
         pipeline: PipelineOptions,
         threads: usize,
         stats: &mut TunerStats,
-    ) -> &'a [Arc<SketchObjective>] {
-        if objectives.contains_key(&task.workload_key) {
-            stats.cache_hits = task.sketches.len();
-        } else {
-            stats.cache_misses = task.sketches.len();
-            let built = parallel_map(task.sketches.len(), threads, |i| {
-                let sk = &task.sketches[i];
-                let Some(cache) = tape_cache else {
-                    let obj =
-                        SketchObjective::build_with(&sk.program, &sk.features.exprs, pipeline);
-                    return (Arc::new(obj), false, false);
-                };
-                let bucket = sketch_bucket(sk.name, sk.program.sched_vars.len());
-                let fp = objective_fingerprint(&sk.program, &sk.features.exprs, pipeline);
-                match cache.lookup(bucket, fp) {
-                    TapeLookup::Hit(obj) => (obj, true, false),
-                    outcome => {
-                        let obj = Arc::new(SketchObjective::build_with(
-                            &sk.program,
-                            &sk.features.exprs,
-                            pipeline,
-                        ));
-                        cache.insert(bucket, fp, obj.clone());
-                        (obj, false, matches!(outcome, TapeLookup::Stale))
-                    }
+    ) -> Vec<Arc<SketchObjective>> {
+        let cache = &self.tape_cache;
+        let found = parallel_map(task.sketches.len(), threads, |i| {
+            let sk = &task.sketches[i];
+            let bucket = sketch_bucket(sk.name, sk.program.sched_vars.len());
+            let fp = objective_fingerprint(&sk.program, &sk.features.exprs, pipeline);
+            match cache.lookup(bucket, fp) {
+                TapeLookup::Hit(obj) => (obj, true, false),
+                outcome => {
+                    let obj = Arc::new(SketchObjective::build_with(
+                        &sk.program,
+                        &sk.features.exprs,
+                        pipeline,
+                    ));
+                    cache.insert(bucket, fp, obj.clone());
+                    (obj, false, matches!(outcome, TapeLookup::Stale))
                 }
-            });
-            let mut objs = Vec::with_capacity(built.len());
-            for (obj, hit, stale) in built {
-                stats.tape_cache_hits += usize::from(hit);
-                stats.tape_cache_stale += usize::from(stale);
-                objs.push(obj);
             }
-            objectives.insert(task.workload_key.clone(), objs);
-        }
-        let objs = &objectives[&task.workload_key];
-        for o in objs.iter() {
-            stats.pool_nodes += o.program.pool.len();
-            stats.tape_nodes += o.tape.len();
-            stats.tape_compile_s += o.tape_compile_s;
+        });
+        let mut objs = Vec::with_capacity(found.len());
+        for (obj, hit, stale) in found {
+            stats.tape_cache_hits += usize::from(hit);
+            stats.cache_misses += usize::from(!hit);
+            stats.tape_cache_stale += usize::from(stale);
+            stats.pool_nodes += obj.program.pool.len();
+            stats.tape_nodes += obj.tape.len();
+            stats.tape_compile_s += obj.tape_compile_s;
+            objs.push(obj);
         }
         objs
     }
@@ -327,7 +314,8 @@ fn descend_chunk(
     let mut grad: Vec<f64> = Vec::new();
     let mut pen: Vec<f64> = vec![0.0; seeds.len()];
     // Tape-level finiteness verdicts, derived for free inside
-    // `write_feats`/`seed_lane` (which already read every root) — a
+    // `write_feats_cols`/`seed_penalties_all` (which already read every
+    // root) — a
     // standalone root scan per lane per step costs a cache-hostile pass
     // over the tape values and blows the supervision overhead budget.
     let mut feat_ok: Vec<bool> = vec![true; seeds.len()];
@@ -356,8 +344,8 @@ fn descend_chunk(
                 }
                 obj.forward_batch(scratch);
                 // Feature extraction transposed over all lanes (roots
-                // outer, lanes inner) — same values and finiteness
-                // verdicts as `write_feats` per lane.
+                // outer, lanes inner), straight into the feature-major
+                // MLP input.
                 obj.write_feats_cols(scratch, lanes, seeds_ro.len(), &mut feats_t, |lane, ok| {
                     feat_ok[lanes[lane]] = ok;
                 });
@@ -395,11 +383,10 @@ fn descend_chunk(
                 }
                 // Feature seeding straight from the feature-major MLP
                 // gradient buffer (roots outer, lanes inner; contiguous
-                // lane runs are pure row sweeps) — same values as
-                // `seed_feats_lane` per lane.
+                // lane runs are pure row sweeps).
                 obj.seed_feats_cols(scratch, lanes, seeds.len(), &mlp_grads);
                 // Penalty seeding batched over all lanes (roots outer,
-                // lanes inner) — bit-identical per lane to `seed_lane`.
+                // lanes inner).
                 obj.seed_penalties_all(scratch, opts.lambda, |lane, p, ok| {
                     let i = lanes[lane];
                     pen[i] = p;
@@ -508,14 +495,7 @@ impl Proposer for GradientProposer {
         let sup = opts.supervisor;
         let threads = effective_threads(opts.threads);
         let mut stats = TunerStats { threads, ..TunerStats::default() };
-        let objectives = Self::objectives_for(
-            &mut self.objectives,
-            self.tape_cache.as_ref(),
-            task,
-            opts.pipeline,
-            threads,
-            &mut stats,
-        );
+        let objectives = self.objectives_for(task, opts.pipeline, threads, &mut stats);
 
         // --- Supervision state ---------------------------------------------
         // The task's per-sketch modes (degradation ladder position) gate
@@ -670,7 +650,7 @@ impl Proposer for GradientProposer {
             let mut chunk_seeds =
                 std::mem::take(&mut *chunks[ci].lock().expect("chunk slot"));
             descend_chunk(
-                objectives,
+                &objectives,
                 task,
                 model,
                 &opts,
@@ -1025,10 +1005,11 @@ mod tests {
         prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
         let stats = prop.take_stats();
         assert_eq!(stats.len(), 2);
-        // First round builds every sketch objective, second reuses them.
+        // First round builds every sketch objective, second serves them
+        // from the proposer's tape cache.
         assert_eq!(stats[0].cache_misses, task.sketches.len());
-        assert_eq!(stats[0].cache_hits, 0);
-        assert_eq!(stats[1].cache_hits, task.sketches.len());
+        assert_eq!(stats[0].tape_cache_hits, 0);
+        assert_eq!(stats[1].tape_cache_hits, task.sketches.len());
         assert_eq!(stats[1].cache_misses, 0);
         for s in &stats {
             assert_eq!(s.grad_steps, 4 * 40);
@@ -1040,6 +1021,49 @@ mod tests {
             assert!(!s.summary().is_empty());
         }
         assert!(prop.take_stats().is_empty(), "stats drain");
+    }
+
+    #[test]
+    fn same_sketch_names_at_other_extents_build_their_own_objectives() {
+        // Two dense layers differing only in the reduction size share
+        // every sketch name; the tape cache's exact fingerprint must still
+        // keep their objectives apart. The second task therefore builds its
+        // own, and its round matches a fresh proposer's bit for bit.
+        let (wide, model, sim) = setup();
+        let narrow = SearchTask::from_task(
+            &Task {
+                subgraph: Subgraph { ops: vec![Op::Dense { m: 512, k: 256, n: 512 }] },
+                weight: 1,
+            },
+            &sim,
+        );
+        let names = |t: &SearchTask| t.sketches.iter().map(|s| s.name).collect::<Vec<_>>();
+        assert_eq!(names(&wide), names(&narrow));
+        assert_ne!(wide.workload_key, narrow.workload_key);
+        let costs = ClockCosts::default();
+        let run = |prop: &mut GradientProposer| {
+            let mut clock = TuningClock::new();
+            let mut rng = StdRng::seed_from_u64(21);
+            let cands = prop.propose(&narrow, &model, 8, &mut clock, &costs, &mut rng);
+            (cands, prop.take_prediction_trace(), clock.now_s())
+        };
+
+        let mut shared = GradientProposer::new(quick_opts());
+        let mut rng = StdRng::seed_from_u64(20);
+        shared.propose(&wide, &model, 8, &mut TuningClock::new(), &costs, &mut rng);
+        shared.take_prediction_trace();
+        let (cands, trace, clock_s) = run(&mut shared);
+        let stats = shared.take_stats();
+        assert_eq!(stats[1].cache_misses, narrow.sketches.len());
+        assert_eq!(stats[1].tape_cache_hits, 0);
+
+        let (ref_cands, ref_trace, ref_clock) = run(&mut GradientProposer::new(quick_opts()));
+        assert_eq!(cands, ref_cands);
+        assert_eq!(trace.len(), ref_trace.len());
+        for (a, b) in trace.iter().zip(&ref_trace) {
+            assert_eq!(a.to_bits(), b.to_bits(), "trace not bit-identical");
+        }
+        assert_eq!(clock_s.to_bits(), ref_clock.to_bits());
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //!    `log∘exp` cancels, products of tile sizes become sums of `y`),
 //! 5. keep the validity constraints as penalty expressions `g(y)`.
 //!
-//! [`SketchObjective::cost_and_grad`] then composes the MLP cost model with
-//! the feature DAG: the MLP's input gradient seeds one reverse-mode sweep
-//! over the expression pool, yielding `∂O/∂y` for every seed in a single
-//! pass — exactly the AutoDiff step of Algorithm 1.
+//! The objective then composes the MLP cost model with the feature DAG: the
+//! MLP's input gradient seeds one reverse-mode sweep over the compiled
+//! tape, yielding `∂O/∂y` for every seed of a batch in a single pass —
+//! exactly the AutoDiff step of Algorithm 1. There is one evaluation path,
+//! the batched one descent runs; [`SketchObjective::cost_and_grad`] is that
+//! path at batch one. The pool-walking methods (`eval_feats_pool`,
+//! `grad_from_dscore_pool`, `cost_and_grad_pool`) are the reference oracle
+//! it is tested against.
 
 use felix_cost::Mlp;
 use felix_expr::autodiff::GradOptions;
@@ -323,8 +327,9 @@ impl SketchObjective {
         (objective, score, grad)
     }
 
-    /// Full pool-walking `cost_and_grad`: the reference oracle the tape
-    /// path is checked against (tests, `tuner_bench` equivalence asserts).
+    /// Full pool-walking [`SketchObjective::cost_and_grad`]: the reference
+    /// oracle the tape path is checked against (tests, `tuner_bench`
+    /// equivalence asserts).
     pub fn cost_and_grad_pool(
         &self,
         model: &Mlp,
@@ -340,10 +345,11 @@ impl SketchObjective {
     // Batched tape evaluation. The descent loop sweeps every live seed of
     // a sketch through the tape in one structure-of-arrays pass, mirroring
     // the batched MLP: per step it runs `begin_batch`/`set_lane`/
-    // `forward_batch`, one matrix-shaped MLP call over the features, then
-    // `seed_lane`/`backward_batch`/`grad_lane`. Batch width only changes
-    // memory layout, never accumulation order, so every lane is
-    // bit-identical to a batch-of-one evaluation.
+    // `forward_batch`/`write_feats_cols`, one matrix-shaped MLP call over
+    // the features, then `seed_feats_cols`/`seed_penalties_all`/
+    // `backward_batch`/`grad_lane`. Batch width only changes memory layout,
+    // never accumulation order, so every lane is bit-identical to a
+    // batch-of-one evaluation.
     // ------------------------------------------------------------------
 
     /// Starts a batched evaluation of `batch` seeds, sizing `scratch`'s
@@ -381,35 +387,17 @@ impl SketchObjective {
         self.log_feat_roots.len()
     }
 
-    /// Extracts `lane`'s log-feature vector (the MLP input) into `out`.
-    ///
-    /// Returns `true` when every extracted feature is finite. The check
-    /// rides the extraction loop (the values are already in hand), so the
-    /// supervisor's per-step feature-root NaN/Inf detection costs no extra
-    /// pass over the tape.
-    pub fn write_feats(&self, scratch: &EvalScratch, lane: usize, out: &mut Vec<f64>) -> bool {
-        let b = scratch.batch;
-        out.clear();
-        // The exact-size `Map<Range>` extend skips per-push capacity checks,
-        // and checking finiteness as a second pass over the (contiguous,
-        // 50-element) output row vectorizes where the fused check could not.
-        out.extend(
-            (0..self.log_feat_roots.len()).map(|k| self.tape.root_value(&scratch.vals, b, k, lane)),
-        );
-        out.iter().all(|v| v.is_finite())
-    }
-
-    /// Transposed form of [`SketchObjective::write_feats`] over every lane
-    /// at once, into a feature-major destination: lane `l`'s feature `k`
-    /// lands in `dst_t[k * n_total + cols[l]]`. Feature roots run outer and
+    /// Extracts every lane's log-feature vector (the MLP input) at once,
+    /// into a feature-major destination: lane `l`'s feature `k` lands in
+    /// `dst_t[k * n_total + cols[l]]`. Feature roots run outer and
     /// lanes inner, so the tape-value reads are contiguous rows — and when
     /// `cols` is a contiguous ascending run, each root row is one straight
     /// block copy. The layout matches the batched MLP kernels' internal
     /// feature-major activations, so the cost-model call consumes `dst_t`
     /// with no reshaping (see `Mlp::input_gradient_batch_cols`).
-    /// `finite(lane, ok)` reports each lane's feature finiteness verdict.
-    /// Writes the same values — and returns the same verdicts — as calling
-    /// `write_feats` per lane.
+    /// `finite(lane, ok)` reports whether every feature of `lane` is
+    /// finite; the check rides the copy, so the supervisor's per-step
+    /// feature-root NaN/Inf detection costs no extra pass over the tape.
     pub fn write_feats_cols(
         &self,
         scratch: &mut EvalScratch,
@@ -453,88 +441,13 @@ impl SketchObjective {
         }
     }
 
-    /// Seeds `lane`'s adjoints from the MLP's input gradient plus the
-    /// penalty derivatives, returning the lane's penalty value
-    /// `λ Σ max(g_r, 0)²` and whether every raw penalty root was finite.
-    /// Must run after [`SketchObjective::forward_batch`].
-    ///
-    /// The finiteness flag is checked on the *raw* root value, before the
-    /// clamp: `f64::min(NaN, c)` returns `c`, so a NaN penalty root would
-    /// otherwise be laundered into [`PENALTY_CLAMP`] and become invisible
-    /// to both the penalty sum and the gradient. Riding the seeding loop
-    /// keeps the supervisor's check free of any extra tape pass.
-    pub fn seed_lane(
-        &self,
-        scratch: &mut EvalScratch,
-        lane: usize,
-        dscore: &[f64],
-        lambda: f64,
-    ) -> (f64, bool) {
-        self.seed_feats_lane(scratch, lane, dscore);
-        let b = scratch.batch;
-        let n_feats = self.log_feat_roots.len();
-        let mut penalty = 0.0;
-        let mut finite = true;
-        let EvalScratch { vals, seeds, .. } = scratch;
-        let pen_col = seeds[n_feats * b + lane..].iter_mut().step_by(b);
-        for (j, s) in pen_col.take(self.penalty_roots.len()).enumerate() {
-            let raw = self.tape.root_value(vals, b, n_feats + j, lane);
-            finite &= raw.is_finite();
-            // Clamped identically to the pool oracle so the two paths stay
-            // bitwise equal; see [`PENALTY_CLAMP`].
-            let gv = raw.min(PENALTY_CLAMP);
-            if gv > 0.0 {
-                penalty += lambda * gv * gv;
-                *s = lambda * 2.0 * gv;
-            } else {
-                *s = 0.0;
-            }
-        }
-        (penalty, finite)
-    }
-
-    /// The feature half of [`SketchObjective::seed_lane`]: writes `lane`'s
-    /// MLP input gradient (negated — the objective maximizes score) into
-    /// the feature-root seed block. The strided writes walk the lane column
-    /// as a `step_by` iterator, which elides per-write bounds checks.
-    pub fn seed_feats_lane(&self, scratch: &mut EvalScratch, lane: usize, dscore: &[f64]) {
-        let b = scratch.batch;
-        for (s, &d) in scratch.seeds[lane..].iter_mut().step_by(b).zip(dscore) {
-            *s = -d;
-        }
-    }
-
-    /// Transposed form of [`SketchObjective::seed_feats_lane`] over every
-    /// lane at once: feature roots outer, lanes inner, so the seed writes
-    /// are contiguous rows instead of per-lane strided columns. `row_of`
-    /// returns each lane's MLP input gradient (`n_feats` long). Writes the
-    /// same values as calling `seed_feats_lane` per lane.
-    pub fn seed_feats_all<'a>(
-        &self,
-        scratch: &mut EvalScratch,
-        row_of: impl Fn(usize) -> &'a [f64],
-    ) {
-        let b = scratch.batch;
-        let nf = self.log_feat_roots.len();
-        for lane in 0..b {
-            assert_eq!(row_of(lane).len(), nf, "dscore row length mismatch");
-        }
-        for (k, srow) in scratch.seeds[..nf * b].chunks_exact_mut(b).enumerate() {
-            for (lane, s) in srow.iter_mut().enumerate() {
-                // SAFETY: every row's length was checked `== nf` above and
-                // `k < nf` by the chunk count.
-                *s = -unsafe { *row_of(lane).get_unchecked(k) };
-            }
-        }
-    }
-
-    /// [`SketchObjective::seed_feats_all`] from a feature-major gradient
-    /// buffer (`src_t[k * n_total + cols[lane]]`, the layout
+    /// Seeds every lane's feature-root adjoints with its MLP input
+    /// gradient, negated (the objective maximizes score), read from a
+    /// feature-major buffer (`src_t[k * n_total + cols[lane]]`, the layout
     /// [`felix_cost::Mlp::input_gradient_batch_cols`] emits): feature roots
     /// outer, lanes inner, so when `cols` is a contiguous run both the
     /// source reads and the seed writes are pure row sweeps — no strided
-    /// access on either side. Writes the same values as `seed_feats_lane`
-    /// per lane.
+    /// access on either side.
     pub fn seed_feats_cols(
         &self,
         scratch: &mut EvalScratch,
@@ -563,16 +476,19 @@ impl SketchObjective {
         }
     }
 
-    /// The penalty half of [`SketchObjective::seed_lane`], batched over
-    /// every lane at once: one pass over the penalty roots with roots outer
-    /// and lanes inner, so both the tape-value reads and the seed writes
-    /// are contiguous rows instead of per-lane strided columns. Calls
-    /// `sink(lane, penalty, finite)` for each lane.
+    /// Seeds every lane's penalty-root adjoints with the penalty
+    /// derivatives `λ·2·max(g_r, 0)`: one pass over the penalty roots with
+    /// roots outer and lanes inner, so both the tape-value reads and the
+    /// seed writes are contiguous rows. Calls `sink(lane, penalty, finite)`
+    /// for each lane with its penalty value `λ Σ max(g_r, 0)²` and whether
+    /// every raw penalty root was finite. Must run after
+    /// [`SketchObjective::forward_batch`].
     ///
-    /// Per lane this performs exactly the operations of
-    /// [`SketchObjective::seed_lane`]'s penalty loop in the same root
-    /// order, so penalties, seeds, and finiteness verdicts are
-    /// bit-identical to the per-lane path.
+    /// The finiteness flag is checked on the *raw* root value, before the
+    /// clamp: `f64::min(NaN, c)` returns `c`, so a NaN penalty root would
+    /// otherwise be laundered into [`PENALTY_CLAMP`] and become invisible
+    /// to both the penalty sum and the gradient. Riding the seeding loop
+    /// keeps the supervisor's check free of any extra tape pass.
     pub fn seed_penalties_all(
         &self,
         scratch: &mut EvalScratch,
@@ -611,9 +527,10 @@ impl SketchObjective {
     /// True when every tape root (features *and* penalties) of `lane` is
     /// finite in the current batch — the reference form of the supervisor's
     /// tape-level NaN/Inf check. The descent hot path derives the same
-    /// verdict for free from [`SketchObjective::write_feats`] and
-    /// [`SketchObjective::seed_lane`] (which already read every root); this
-    /// standalone scan backs the build-time pathology probe and tests.
+    /// verdict for free from [`SketchObjective::write_feats_cols`] and
+    /// [`SketchObjective::seed_penalties_all`] (which already read every
+    /// root); this standalone scan backs the build-time pathology probe and
+    /// tests.
     /// Must run after [`SketchObjective::forward_batch`].
     pub fn lane_is_finite(&self, scratch: &EvalScratch, lane: usize) -> bool {
         self.tape
@@ -645,63 +562,25 @@ impl SketchObjective {
     }
 
     /// Evaluates `O(y)` and `∂O/∂y` (Eqn. 4): `O = −C(feat(y)) +
-    /// λ Σ max(g_r(y), 0)²`, via the compiled tape.
+    /// λ Σ max(g_r(y), 0)²`, via the compiled tape — the descent sequence
+    /// at batch one, where the feature-major layout is the plain row.
     ///
     /// Returns `(objective, predicted_score, gradient)`.
-    pub fn cost_and_grad(
-        &self,
-        model: &Mlp,
-        lambda: f64,
-        y: &[f64],
-    ) -> (f64, f64, Vec<f64>) {
-        let mut scratch = EvalScratch::default();
-        self.cost_and_grad_with(model, lambda, y, &mut scratch)
-    }
-
-    /// [`SketchObjective::cost_and_grad`] with caller-owned scratch buffers
-    /// (allocation-free once the buffers have grown to size).
-    pub fn cost_and_grad_with(
-        &self,
-        model: &Mlp,
-        lambda: f64,
-        y: &[f64],
-        scratch: &mut EvalScratch,
-    ) -> (f64, f64, Vec<f64>) {
-        self.begin_batch(scratch, 1);
-        self.set_lane(scratch, 0, y);
-        self.forward_batch(scratch);
-        let mut feats = Vec::with_capacity(self.log_feat_roots.len());
-        self.write_feats(scratch, 0, &mut feats);
-        let (score, dscore) = model.input_gradient(&feats);
-        let (penalty, _) = self.seed_lane(scratch, 0, &dscore, lambda);
-        self.backward_batch(scratch);
-        let mut grad = Vec::with_capacity(self.y_vars.len());
-        self.grad_lane(scratch, 0, &mut grad);
-        (-score + penalty, score, grad)
-    }
-
-    /// Evaluates only the objective value (for testing against numeric
-    /// gradients) — tape forward pass only, no reverse sweep.
-    pub fn cost(&self, model: &Mlp, lambda: f64, y: &[f64]) -> f64 {
+    pub fn cost_and_grad(&self, model: &Mlp, lambda: f64, y: &[f64]) -> (f64, f64, Vec<f64>) {
         let mut scratch = EvalScratch::default();
         self.begin_batch(&mut scratch, 1);
         self.set_lane(&mut scratch, 0, y);
-        self.tape.forward_batch(&scratch.vars, 1, &mut scratch.vals);
-        let mut feats = Vec::with_capacity(self.log_feat_roots.len());
-        self.write_feats(&scratch, 0, &mut feats);
-        let score = model.predict(&feats);
-        let n_feats = self.log_feat_roots.len();
+        self.forward_batch(&mut scratch);
+        let mut feats = vec![0.0; self.n_feats()];
+        self.write_feats_cols(&mut scratch, &[0], 1, &mut feats, |_, _| {});
+        let (score, dscore) = model.input_gradient(&feats);
+        self.seed_feats_cols(&mut scratch, &[0], 1, &dscore);
         let mut penalty = 0.0;
-        for j in 0..self.penalty_roots.len() {
-            let gv = self
-                .tape
-                .root_value(&scratch.vals, 1, n_feats + j, 0)
-                .min(PENALTY_CLAMP);
-            if gv > 0.0 {
-                penalty += lambda * gv * gv;
-            }
-        }
-        -score + penalty
+        self.seed_penalties_all(&mut scratch, lambda, |_, p, _| penalty = p);
+        self.backward_batch(&mut scratch);
+        let mut grad = Vec::with_capacity(self.y_vars.len());
+        self.grad_lane(&scratch, 0, &mut grad);
+        (-score + penalty, score, grad)
     }
 }
 
@@ -776,9 +655,9 @@ mod tests {
         for i in 0..y.len() {
             let mut yp = y.clone();
             yp[i] += eps;
-            let hi = obj.cost(&model, lambda, &yp);
+            let hi = obj.cost_and_grad(&model, lambda, &yp).0;
             yp[i] -= 2.0 * eps;
-            let lo = obj.cost(&model, lambda, &yp);
+            let lo = obj.cost_and_grad(&model, lambda, &yp).0;
             let num = (hi - lo) / (2.0 * eps);
             assert!(
                 (grad[i] - num).abs() < 0.02 + 0.15 * num.abs(),
@@ -817,6 +696,11 @@ mod tests {
 
     #[test]
     fn batched_lanes_match_single_seed_evaluation() {
+        // Descent's production sequence: two sketch groups share one
+        // feature-major MLP batch, at contiguous columns (one group after
+        // the other) and at interleaved ones (slots round-robin over two
+        // sketches). Every lane must equal its batch-of-one
+        // `cost_and_grad` bit for bit.
         let (obj, _) = build_dense_objective();
         let mut rng = StdRng::seed_from_u64(9);
         let model = Mlp::new(&mut rng);
@@ -825,32 +709,52 @@ mod tests {
             vec![0.7, 1.9, 0.3, 1.4, 2.6, 0.8, 2.2, 3.0],
             vec![0.5, 6.3, 1.1, 0.4, 6.3, 1.3, 1.9, 3.5],
             vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+            vec![0.2, 2.8, 0.9, 0.6, 1.7, 1.1, 2.5, 2.9],
+            vec![1.3, 0.4, 2.2, 0.1, 0.9, 2.4, 0.6, 4.0],
+            vec![0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            vec![0.9, 3.1, 0.5, 0.8, 3.0, 0.2, 1.4, 3.2],
         ];
-        let batch = points.len();
-        let mut scratch = EvalScratch::default();
-        obj.begin_batch(&mut scratch, batch);
-        for (lane, y) in points.iter().enumerate() {
-            obj.set_lane(&mut scratch, lane, y);
-        }
-        obj.forward_batch(&mut scratch);
-        let mut feats = Vec::new();
-        let mut penalties = vec![0.0; batch];
-        let mut scores = vec![0.0; batch];
-        for (lane, _) in points.iter().enumerate() {
-            obj.write_feats(&scratch, lane, &mut feats);
-            let (score, dscore) = model.input_gradient(&feats);
-            scores[lane] = score;
-            penalties[lane] = obj.seed_lane(&mut scratch, lane, &dscore, 1.0).0;
-        }
-        obj.backward_batch(&mut scratch);
-        let mut grad = Vec::new();
-        for (lane, y) in points.iter().enumerate() {
-            obj.grad_lane(&scratch, lane, &mut grad);
-            let (c1, s1, g1) = obj.cost_and_grad(&model, 1.0, y);
-            assert_eq!(s1.to_bits(), scores[lane].to_bits());
-            assert_eq!(c1.to_bits(), (-scores[lane] + penalties[lane]).to_bits());
-            for (a, b) in grad.iter().zip(&g1) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane {lane}");
+        let n_total = points.len();
+        let layouts = [
+            [vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
+            [vec![0, 2, 4, 6], vec![1, 3, 5, 7]],
+        ];
+        for groups in &layouts {
+            let mut scratches = [EvalScratch::default(), EvalScratch::default()];
+            let mut feats_t = vec![0.0; obj.n_feats() * n_total];
+            for (cols, scratch) in groups.iter().zip(&mut scratches) {
+                obj.begin_batch(scratch, cols.len());
+                for (lane, &c) in cols.iter().enumerate() {
+                    obj.set_lane(scratch, lane, &points[c]);
+                }
+                obj.forward_batch(scratch);
+                obj.write_feats_cols(scratch, cols, n_total, &mut feats_t, |_, ok| assert!(ok));
+            }
+            let (mut mlp_scratch, mut scores, mut grads_t) =
+                (felix_cost::MlpScratch::default(), Vec::new(), Vec::new());
+            model.input_gradient_batch_cols(
+                &feats_t,
+                n_total,
+                &mut mlp_scratch,
+                &mut scores,
+                &mut grads_t,
+            );
+            let mut grad = Vec::new();
+            for (cols, scratch) in groups.iter().zip(&mut scratches) {
+                obj.seed_feats_cols(scratch, cols, n_total, &grads_t);
+                let mut penalties = vec![0.0; cols.len()];
+                obj.seed_penalties_all(scratch, 1.0, |lane, p, _| penalties[lane] = p);
+                obj.backward_batch(scratch);
+                for (lane, &c) in cols.iter().enumerate() {
+                    obj.grad_lane(scratch, lane, &mut grad);
+                    let (c1, s1, g1) = obj.cost_and_grad(&model, 1.0, &points[c]);
+                    assert_eq!(s1.to_bits(), scores[c].to_bits(), "column {c}");
+                    assert_eq!(c1.to_bits(), (-scores[c] + penalties[lane]).to_bits());
+                    assert_eq!(grad.len(), g1.len());
+                    for (a, b) in grad.iter().zip(&g1) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "column {c}");
+                    }
+                }
             }
         }
     }
@@ -863,8 +767,8 @@ mod tests {
         // Feasible-ish point vs. threads blown to 512x512.
         let ok = vec![0.5, 2.3, 1.1, 0.4, 2.0, 1.3, 1.9, 3.5];
         let bad = vec![0.5, 6.3, 1.1, 0.4, 6.3, 1.3, 1.9, 3.5];
-        let c_ok = obj.cost(&model, 1.0, &ok);
-        let c_bad = obj.cost(&model, 1.0, &bad);
+        let c_ok = obj.cost_and_grad(&model, 1.0, &ok).0;
+        let c_bad = obj.cost_and_grad(&model, 1.0, &bad).0;
         assert!(c_bad > c_ok + 10.0, "penalty must dominate: {c_ok} vs {c_bad}");
     }
 

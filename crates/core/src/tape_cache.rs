@@ -1,19 +1,18 @@
-//! Cross-task cache of compiled sketch objectives (gradient tapes).
+//! The cache of compiled sketch objectives (gradient tapes).
 //!
 //! Building a [`SketchObjective`] is the expensive, once-per-sketch part of
 //! attaching the gradient proposer to a task: smoothing, exponential
 //! substitution, equality-saturation simplification, and the tape compile
-//! together cost orders of magnitude more than a descent step. The
-//! [`GradientProposer`](crate::GradientProposer) already memoizes
-//! objectives per task *name*; this cache goes one step further and shares
-//! the built objective across **tasks** — two dense layers with identical
-//! shapes in different subgraphs, or the same workload tuned by several
-//! optimizers in one process (the serving tier's worker shards), compile
-//! their tapes once.
+//! together cost orders of magnitude more than a descent step. Every
+//! [`GradientProposer`](crate::GradientProposer) holds one of these caches
+//! — its only objective cache, always on — and looks up each sketch every
+//! round, so a task's later rounds reuse its objectives and two dense
+//! layers with identical shapes in different subgraphs compile their tapes
+//! once. Optimizers handed the same `Arc` share one cache.
 //!
 //! Keying is two-level, mirroring the schedule store's transfer scheme:
 //!
-//! - the **bucket** is the extent-free structural key from PR's
+//! - the **bucket** is the extent-free structural key from the
 //!   [`structure_hash`](crate::cache::structure_hash) family — sketch name
 //!   plus schedule-variable count — so candidate entries are found without
 //!   scanning the whole cache;
@@ -189,8 +188,9 @@ pub struct TapeCacheStats {
     pub entries: usize,
 }
 
-/// A process-wide, thread-safe cache of compiled sketch objectives, shared
-/// across optimizers via [`crate::Optimizer::with_shared_tape_cache`] /
+/// A thread-safe cache of compiled sketch objectives: one per proposer,
+/// or shared across optimizers via
+/// [`crate::Optimizer::with_shared_tape_cache`] /
 /// [`crate::GradientProposer::with_shared_tape_cache`].
 pub struct TapeCache {
     inner: Mutex<Inner>,

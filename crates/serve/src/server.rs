@@ -8,7 +8,7 @@
 //! - `n_shards` **worker threads** each run a [`Shard`]: claim pending
 //!   jobs by `job_id % n_shards`, tick them under the fairness policy,
 //!   honor cancels/deadlines between ticks, and append terminal records;
-//! - all durable state funnels through one mutex-guarded [`State`]:
+//! - all durable state funnels through one mutex-guarded `State`:
 //!   the WAL appender and the replayed [`QueueState`] it feeds.
 //!
 //! ## Durability protocol

@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Per-crate test-time budget: no single crate's suite may exceed 60s of
 # wall-clock. This keeps the workspace suite honest after the test-speed
@@ -71,9 +72,11 @@ cargo test -q -p felix --test supervision nan_cost_model_run_degrades_and_comple
 TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin tuner_bench
 cargo test -q -p felix-expr --test tape_equivalence every_lane_remainder_matches_scalar_bitwise
 
-# Tape-cache smoke: cache-on tuning bit-identical to cache-off at 1/2/4
-# threads, a warm second optimizer serving every objective from the cache,
-# and a sketch-generator bump evicting (never serving) stale tapes.
+# Tape-cache smoke: the tape cache is the proposer's only objective cache
+# and always on. A shared cache is bit-identical to a private one at 1/2/4
+# threads; a cold run builds each distinct objective once and serves every
+# later round from the cache; a warm second optimizer builds nothing; and a
+# sketch-generator bump evicts (never serves) stale tapes.
 cargo test -q -p felix --test tape_cache
 
 # Schedule-cache smoke: tune a network against a store, kill the run, and
