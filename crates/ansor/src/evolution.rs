@@ -3,7 +3,7 @@
 
 use crate::{Proposer, SearchTask};
 use felix_cost::{
-    crossover_schedules, log_transform_into, mutate_schedule, random_schedule,
+    crossover_schedules, log_transform, mutate_schedule, random_schedule,
     total_cmp_desc_nan_last, total_cmp_nan_last, Mlp,
 };
 use felix_sim::clock::ClockCosts;
@@ -44,7 +44,6 @@ pub struct EvolutionaryProposer {
     trace: Vec<f64>,
     scratch: Vec<f64>,
     raw: Vec<f64>,
-    logrow: Vec<f64>,
 }
 
 impl EvolutionaryProposer {
@@ -55,7 +54,6 @@ impl EvolutionaryProposer {
             trace: Vec::new(),
             scratch: Vec::new(),
             raw: Vec::new(),
-            logrow: Vec::new(),
         }
     }
 
@@ -68,16 +66,16 @@ impl EvolutionaryProposer {
         costs: &ClockCosts,
     ) -> Vec<f64> {
         clock.charge_predictions(pop.len(), costs);
-        pop.iter()
+        let rows: Vec<Vec<f64>> = pop
+            .iter()
             .map(|(sk, vals)| {
-                let st = &task.sketches[*sk];
-                st.eval_features_into(vals, &mut self.scratch, &mut self.raw);
-                log_transform_into(&self.raw, &mut self.logrow);
-                let score = model.predict(&self.logrow);
-                self.trace.push(score);
-                score
+                task.sketches[*sk].eval_features_into(vals, &mut self.scratch, &mut self.raw);
+                log_transform(&self.raw)
             })
-            .collect()
+            .collect();
+        let scores = model.predict_batch(&rows);
+        self.trace.extend_from_slice(&scores);
+        scores
     }
 
     /// [`Proposer::propose`] restricted to a caller-chosen sketch set — the

@@ -13,6 +13,7 @@ pub mod evolution;
 pub use evolution::EvolutionaryProposer;
 
 use felix_cost::{fine_tune, ingest_sample, Mlp, Sample};
+use felix_expr::CompiledGradTape;
 use felix_features::{extract_features, FeatureSet};
 use felix_graph::lower::lower_subgraph;
 use felix_graph::Task;
@@ -34,15 +35,19 @@ pub struct SketchState {
     pub program: Program,
     /// The 82 feature formulas over this sketch's schedule variables.
     pub features: FeatureSet,
-    /// Tape-compiled feature evaluator (hot path of candidate scoring).
-    pub compiled: felix_expr::CompiledExprs,
+    /// The feature formulas compiled to a tape (hot path of candidate
+    /// scoring): only the nodes reachable from the 82 roots, in one
+    /// contiguous pass.
+    pub compiled: CompiledGradTape,
 }
 
 impl SketchState {
     /// Raw feature values of a concrete schedule via the compiled tape
     /// (identical to `features.eval`, minus the full-pool walk).
     pub fn eval_features(&self, values: &[f64], scratch: &mut Vec<f64>) -> Vec<f64> {
-        self.compiled.eval_into(values, scratch)
+        let mut out = Vec::with_capacity(self.compiled.n_roots());
+        self.eval_features_into(values, scratch, &mut out);
+        out
     }
 
     /// [`SketchState::eval_features`] into a caller-owned output buffer
@@ -54,7 +59,8 @@ impl SketchState {
         scratch: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) {
-        self.compiled.eval_write(values, scratch, out);
+        self.compiled.forward(values, scratch);
+        self.compiled.write_roots(scratch, 1, 0, out);
     }
 }
 
@@ -284,8 +290,7 @@ impl SearchTask {
             .map(|sk| {
                 let mut program = sk.program;
                 let features = extract_features(&mut program);
-                let compiled =
-                    felix_expr::CompiledExprs::compile(&program.pool, &features.exprs);
+                let compiled = CompiledGradTape::compile(&program.pool, &features.exprs);
                 SketchState { name: sk.name, program, features, compiled }
             })
             .collect();
@@ -779,12 +784,9 @@ pub struct RoundReport {
 pub struct TuneOptions {
     /// Hardware measurements per round (Felix 16, Ansor 64; §5).
     pub measurements_per_round: usize,
-    /// Whether to fine-tune the cost model on each round's measurements.
+    /// Whether to fine-tune the cost model on each round's measurements
+    /// (by [`fine_tune_on_new_samples`]).
     pub update_model: bool,
-    /// Fine-tuning epochs.
-    pub fine_tune_epochs: usize,
-    /// Fine-tuning learning rate.
-    pub fine_tune_lr: f32,
     /// Fault injection applied to measurements (zero by default; with the
     /// zero plan the whole pipeline is byte-identical to one without the
     /// fault layer).
@@ -798,12 +800,24 @@ impl Default for TuneOptions {
         TuneOptions {
             measurements_per_round: 16,
             update_model: true,
-            fine_tune_epochs: 5,
-            fine_tune_lr: 4e-4,
             fault_plan: FaultPlan::none(),
             measure_policy: MeasurePolicy::default(),
         }
     }
+}
+
+/// The online cost-model update (Algorithm 1 line 24), run after `n_new`
+/// fresh measurements were appended to `samples`: fine-tunes on a replay
+/// buffer — the newest 192 samples, the new ones included — so repeated
+/// tiny updates don't drift the model, for `⌈5·n_new/64⌉` epochs (at least
+/// one) at learning rate 4e-4. Scaling the epochs with the amount of new
+/// data makes tools with different measurements per round apply the same
+/// total update strength per measurement. A live tuning round and a
+/// record-log replay both apply exactly this rule.
+pub fn fine_tune_on_new_samples(model: &mut Mlp, samples: &[Sample], n_new: usize) {
+    let start = samples.len().saturating_sub(192);
+    let epochs = (5 * n_new).div_ceil(64).max(1);
+    fine_tune(model, &samples[start..], epochs, 4e-4);
 }
 
 /// Runs one tuning round on a task: propose → measure (with retry/backoff
@@ -932,15 +946,7 @@ pub fn tune_task_round_with_sink(
     if opts.update_model && !new_samples.is_empty() {
         let n_new = new_samples.len();
         task.samples.extend(new_samples);
-        // Fine-tune on a replay buffer (new measurements plus a window of
-        // history) so repeated tiny updates don't drift the model, with the
-        // epoch count scaled to the amount of new data so tools with
-        // different measurements-per-round apply the same total update
-        // strength per measurement.
-        let window = 192usize;
-        let start = task.samples.len().saturating_sub(window);
-        let epochs = ((opts.fine_tune_epochs * n_new).div_ceil(64)).max(1);
-        fine_tune(model, &task.samples[start..], epochs, opts.fine_tune_lr);
+        fine_tune_on_new_samples(model, &task.samples, n_new);
         clock.charge_model_update(costs);
     }
     task.rounds += 1;

@@ -155,10 +155,8 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     let opts = TuneOptions {
         measurements_per_round: 8,
         update_model: true,
-        fine_tune_epochs: 1,
         fault_plan: plan,
         measure_policy: policy,
-        ..Default::default()
     };
     let mut prop = RandomProposer;
     let mut clock = TuningClock::new();

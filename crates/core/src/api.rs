@@ -4,10 +4,10 @@ use crate::cache::ScheduleCache;
 use crate::gd::{FelixOptions, GradientProposer};
 use crate::persist::{self, CheckpointState, RecordLogSink};
 use felix_ansor::{
-    network_latency, tune_network_with_sink, MeasurementSink, NetworkTuneResult, Proposer,
-    SearchTask, TuneOptions, TunerStats,
+    fine_tune_on_new_samples, network_latency, tune_network_with_sink, MeasurementSink,
+    NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
 };
-use felix_cost::{fine_tune, generate_dataset, pretrain, Mlp, TrainConfig};
+use felix_cost::{generate_dataset, pretrain, Mlp, TrainConfig};
 use felix_graph::{partition, Graph, Task};
 use felix_ansor::MeasurePolicy;
 use felix_sim::clock::ClockCosts;
@@ -165,12 +165,7 @@ impl Optimizer {
         for task in &mut self.tasks {
             let n_new = persist::replay_records(task, &records, device);
             if n_new > 0 {
-                // Same replay-window / epoch-scaling / learning-rate rule as
-                // `tune_task_round`'s post-measurement update.
-                let window = 192usize;
-                let start = task.samples.len().saturating_sub(window);
-                let epochs = ((5 * n_new).div_ceil(64)).max(1);
-                fine_tune(&mut self.model, &task.samples[start..], epochs, 4e-4);
+                fine_tune_on_new_samples(&mut self.model, &task.samples, n_new);
             }
         }
         self.sink = Some(sink);
@@ -412,7 +407,7 @@ impl Optimizer {
     /// Runs `n_total_rounds` rounds of tuning with `measure_per_round`
     /// hardware measurements each (Fig. 5's `optimize_all`).
     ///
-    /// With checkpointing enabled the rounds run one at a time so every
+    /// The rounds run one at a time, so with checkpointing enabled every
     /// checkpoint lands on a round boundary; the per-round loop evolves the
     /// search state identically to a single n-round call (the scheduler and
     /// round pipeline carry no cross-call state).
@@ -427,50 +422,42 @@ impl Optimizer {
             measure_policy: self.measure_policy,
             ..Default::default()
         };
-        let res = if self.checkpoint_dir.is_some() {
-            let mut acc = NetworkTuneResult {
-                curve: Vec::new(),
-                task_latencies: self.tasks.iter().map(|t| t.best_latency_ms).collect(),
-                final_latency_ms: network_latency(&self.tasks),
-                round_reports: Vec::new(),
-                unmeasured_tasks: self
-                    .tasks
-                    .iter()
-                    .filter(|t| t.best_latency_ms.is_infinite())
-                    .count(),
-            };
-            for i in 0..n_total_rounds {
-                let chunk = self.run_rounds(&opts, 1);
-                self.history.extend(chunk.curve.iter().copied());
-                acc.curve.extend(chunk.curve);
-                acc.task_latencies = chunk.task_latencies;
-                acc.final_latency_ms = chunk.final_latency_ms;
-                acc.round_reports.extend(chunk.round_reports);
-                acc.unmeasured_tasks = chunk.unmeasured_tasks;
-                self.rounds_done += 1;
-                // Publish on the same boundary as the checkpoint so a
-                // killed run leaves its incumbents in the store.
-                if let Some(cache) = &mut self.schedule_store {
-                    cache.publish(&self.tasks, self.sim.device.name);
-                }
-                if (i + 1) % self.checkpoint_every == 0 || i + 1 == n_total_rounds {
-                    if let Err(e) = self.save_checkpoint() {
-                        eprintln!("[felix] checkpoint write failed: {e}");
-                    }
+        let mut acc = NetworkTuneResult {
+            curve: Vec::new(),
+            task_latencies: self.tasks.iter().map(|t| t.best_latency_ms).collect(),
+            final_latency_ms: network_latency(&self.tasks),
+            round_reports: Vec::new(),
+            unmeasured_tasks: self.tasks.iter().filter(|t| t.best_latency_ms.is_infinite()).count(),
+        };
+        let checkpointing = self.checkpoint_dir.is_some();
+        for i in 0..n_total_rounds {
+            let round = self.run_round(&opts);
+            self.history.extend(round.curve.iter().copied());
+            acc.curve.extend(round.curve);
+            acc.task_latencies = round.task_latencies;
+            acc.final_latency_ms = round.final_latency_ms;
+            acc.round_reports.extend(round.round_reports);
+            acc.unmeasured_tasks = round.unmeasured_tasks;
+            self.rounds_done += 1;
+            if !checkpointing {
+                continue;
+            }
+            // Publish on the same boundary as the checkpoint so a killed
+            // run leaves its incumbents in the store.
+            if let Some(cache) = &mut self.schedule_store {
+                cache.publish(&self.tasks, self.sim.device.name);
+            }
+            if (i + 1) % self.checkpoint_every == 0 || i + 1 == n_total_rounds {
+                if let Err(e) = self.save_checkpoint() {
+                    eprintln!("[felix] checkpoint write failed: {e}");
                 }
             }
-            acc
-        } else {
-            let res = self.run_rounds(&opts, n_total_rounds);
-            self.history.extend(res.curve.iter().copied());
-            self.rounds_done += n_total_rounds;
-            res
-        };
+        }
         self.stats.extend(self.proposer.take_stats());
         if let Some(cache) = &mut self.schedule_store {
             cache.publish(&self.tasks, self.sim.device.name);
         }
-        res
+        acc
     }
 
     /// Runs exactly one tuning round — the building block for an external
@@ -486,7 +473,7 @@ impl Optimizer {
         self.optimize_all(1, measure_per_round)
     }
 
-    fn run_rounds(&mut self, opts: &TuneOptions, n_rounds: usize) -> NetworkTuneResult {
+    fn run_round(&mut self, opts: &TuneOptions) -> NetworkTuneResult {
         tune_network_with_sink(
             &mut self.tasks,
             &mut self.proposer,
@@ -495,7 +482,7 @@ impl Optimizer {
             &mut self.clock,
             &self.costs,
             opts,
-            n_rounds,
+            1,
             &mut self.rng,
             self.sink.as_mut().map(|s| s as &mut dyn MeasurementSink),
         )
@@ -669,6 +656,7 @@ pub fn current_network_latency(opt: &Optimizer) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use felix_cost::fine_tune;
     use felix_graph::models;
 
     #[test]
@@ -742,6 +730,27 @@ mod tests {
         // Comments and blank lines are fine.
         let ok = opt.load_configs(std::io::BufReader::new(&b"# comment\n\n"[..]));
         assert_eq!(ok.expect("comments ok"), 0);
+    }
+
+    #[test]
+    fn pretrained_and_fine_tuned_model_bytes_match_known_answers() {
+        // Pins the training path end to end: any change to the batched
+        // forward, the parameter backward or the Adam step that moves a
+        // single weight bit changes these hashes.
+        fn model_hash(m: &Mlp) -> String {
+            let mut bytes = Vec::new();
+            m.save(&mut bytes).expect("save to vec");
+            format!("{:016x}", felix_records::fnv1a(felix_records::FNV_OFFSET, &bytes))
+        }
+        let device = DeviceConfig::xavier_nx();
+        let mut m = pretrained_cost_model(&device, ModelQuality::Fast);
+        assert_eq!(model_hash(&m), "b99d195dc6ceac74", "pretrained model");
+        let ds = generate_dataset(&device, 3, 40, 7);
+        let samples = &ds.samples[..192.min(ds.samples.len())];
+        for _ in 0..20 {
+            fine_tune(&mut m, samples, 2, 4e-4);
+        }
+        assert_eq!(model_hash(&m), "3e85405aaabd004a", "fine-tuned model");
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //! count** — `threads: 1` is the proof path, `threads: 0` (one worker per
 //! core) the fast path.
 
-use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth, SupervisorOptions};
+use crate::health::{
+    restart_salt, restart_stream, ChunkHealth, SeedHealth, SupervisorOptions, CLIPPED_GRAD_CLIP,
+    GRAD_CLIP, TRUST_BACKOFF,
+};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
 use crate::tape_cache::{objective_fingerprint, sketch_bucket, TapeCache, TapeLookup};
@@ -59,6 +62,12 @@ const SEED_INIT_DRAWS: usize = 8;
 /// Candidates per batched scoring chunk (one `predict_batch` call each).
 const SCORE_CHUNK: usize = 64;
 
+/// Constraint-penalty coefficient `λ` of the descent objective (Eqn. 4).
+const LAMBDA: f64 = 1.0;
+
+/// Adam learning rate of the schedule search, in `y = ln x` space.
+const LR: f64 = 0.08;
+
 /// Hyperparameters of the gradient-descent search (paper §5 defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct FelixOptions {
@@ -66,10 +75,6 @@ pub struct FelixOptions {
     pub n_seeds: usize,
     /// Gradient-descent steps per round (`nSteps`, default 200).
     pub n_steps: usize,
-    /// Constraint-penalty coefficient `λ`.
-    pub lambda: f64,
-    /// Adam learning rate in `y = ln x` space.
-    pub lr: f64,
     /// Worker threads: `0` = one per available core, `1` = serial. The
     /// search result is bit-identical for every setting.
     pub threads: usize,
@@ -91,8 +96,6 @@ impl Default for FelixOptions {
             // seed than 8 on dense-512 while exploring more restarts.
             n_seeds: 16,
             n_steps: 200,
-            lambda: 1.0,
-            lr: 0.08,
             threads: 0,
             pipeline: PipelineOptions::default(),
             supervisor: SupervisorOptions::default(),
@@ -230,21 +233,19 @@ fn run_guarded(enabled: bool, f: impl FnOnce()) -> bool {
 /// Restarts one seed from its dedicated RNG substream: a fresh random
 /// schedule drawn from `restart_stream(salt, global_idx, restart_count)`
 /// and a fresh Adam state with the learning rate backed off by
-/// `trust_backoff^restarts` (a shrinking trust region). Never touches the
+/// `TRUST_BACKOFF^restarts` (a shrinking trust region). Never touches the
 /// master RNG, so seeds that don't restart are unaffected. Freezes the
 /// seed instead when its restart budget is spent.
-#[allow(clippy::too_many_arguments)]
 fn restart_seed(
     seed: &mut Seed,
     task: &SearchTask,
     objectives: &[Arc<SketchObjective>],
-    sup: &SupervisorOptions,
-    base_lr: f64,
+    restart_budget: usize,
     salt: u64,
     global_idx: usize,
     health: &mut ChunkHealth,
 ) {
-    if !seed.health.consume_restart(sup.restart_budget) {
+    if !seed.health.consume_restart(restart_budget) {
         return;
     }
     health.seed_restarts += 1;
@@ -253,7 +254,7 @@ fn restart_seed(
     let st = &task.sketches[seed.sketch];
     let x = felix_cost::random_schedule(&st.program, &mut srng, 64);
     seed.y = objectives[seed.sketch].to_y_space(&x);
-    let lr = base_lr * sup.trust_backoff.powi(seed.health.restarts as i32);
+    let lr = LR * TRUST_BACKOFF.powi(seed.health.restarts as i32);
     let nv = seed.y.len();
     seed.opt = AdamOpt::new(nv, lr);
 }
@@ -387,7 +388,7 @@ fn descend_chunk(
                 obj.seed_feats_cols(scratch, lanes, seeds.len(), &mlp_grads);
                 // Penalty seeding batched over all lanes (roots outer,
                 // lanes inner).
-                obj.seed_penalties_all(scratch, opts.lambda, |lane, p, ok| {
+                obj.seed_penalties_all(scratch, LAMBDA, |lane, p, ok| {
                     let i = lanes[lane];
                     pen[i] = p;
                     pen_ok[i] = ok;
@@ -414,26 +415,24 @@ fn descend_chunk(
                             health.nonfinite_events += 1;
                             health.sketch_mut(*sk).events += 1;
                             restart_seed(
-                                &mut seeds[i], task, objectives, &sup, opts.lr, salt,
+                                &mut seeds[i], task, objectives, sup.restart_budget, salt,
                                 base + i, &mut health,
                             );
                             continue;
                         }
-                        if seeds[i].health.note_objective(
-                            obj_val, sup.window, sup.divergence_min_rise,
-                        ) {
+                        if seeds[i].health.note_objective(obj_val) {
                             health.divergence_events += 1;
                             health.sketch_mut(*sk).events += 1;
                             restart_seed(
-                                &mut seeds[i], task, objectives, &sup, opts.lr, salt,
+                                &mut seeds[i], task, objectives, sup.restart_budget, salt,
                                 base + i, &mut health,
                             );
                             continue;
                         }
                         let clip = if modes[*sk] == SketchMode::ClippedGradient {
-                            sup.clipped_grad_clip
+                            CLIPPED_GRAD_CLIP
                         } else {
-                            sup.grad_clip
+                            GRAD_CLIP
                         };
                         if norm_sq > clip * clip {
                             let scale = clip / norm_sq.sqrt();
@@ -556,7 +555,7 @@ impl Proposer for GradientProposer {
             seeds.push(Seed {
                 sketch: e.0,
                 y,
-                opt: AdamOpt::new(nv, opts.lr),
+                opt: AdamOpt::new(nv, LR),
                 health: SeedHealth::default(),
             });
         }
@@ -580,7 +579,7 @@ impl Proposer for GradientProposer {
             seeds.push(Seed {
                 sketch: *sketch,
                 y,
-                opt: AdamOpt::new(nv, opts.lr),
+                opt: AdamOpt::new(nv, LR),
                 health: SeedHealth::default(),
             });
         }
@@ -618,7 +617,7 @@ impl Proposer for GradientProposer {
             seeds.push(Seed {
                 sketch: *sketch,
                 y,
-                opt: AdamOpt::new(nv, opts.lr),
+                opt: AdamOpt::new(nv, LR),
                 health: SeedHealth::default(),
             });
         }

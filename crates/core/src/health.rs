@@ -10,10 +10,10 @@
 //!   tape roots (features *and* penalties) are checked every step; any
 //!   NaN/Inf restarts the seed.
 //! - **Divergence detection** — a seed whose objective value rises
-//!   monotonically for [`SupervisorOptions::window`] consecutive steps *and*
-//!   cumulatively by more than [`SupervisorOptions::divergence_min_rise`] is
-//!   declared diverging and restarted. Both conditions are required: healthy
-//!   descent over a multi-modal landscape routinely rises for a few steps.
+//!   monotonically for `DIVERGENCE_WINDOW` consecutive steps *and*
+//!   cumulatively by more than `DIVERGENCE_MIN_RISE` is declared diverging
+//!   and restarted. Both conditions are required: healthy descent over a
+//!   multi-modal landscape routinely rises for a few steps.
 //! - **Gradient clipping** — gradient norms above the active clip are
 //!   scaled down (a trust region on the step, not a restart).
 //! - **Deterministic restarts** — a restarted seed redraws its starting
@@ -21,7 +21,7 @@
 //!   ([`restart_stream`]), never from the master RNG, so healthy seeds'
 //!   streams — and entire fault-free runs — stay bit-identical to an
 //!   unsupervised search. Each restart shrinks the seed's Adam learning
-//!   rate by [`SupervisorOptions::trust_backoff`] (trust-region backoff).
+//!   rate by `TRUST_BACKOFF` (trust-region backoff).
 //! - **Exhaustion** — a seed that burns through
 //!   [`SupervisorOptions::restart_budget`] restarts is frozen; a sketch
 //!   whose seeds are all frozen escalates one rung down the degradation
@@ -33,30 +33,36 @@
 
 use felix_records::{fnv1a, FNV_OFFSET};
 
-/// Knobs of the descent supervisor. The defaults are chosen so a healthy
-/// run never trips any of them: supervision is then observation-only and
-/// the search stays bit-identical to an unsupervised run.
+/// Consecutive monotonically-rising objective steps before a seed is
+/// considered diverging.
+pub(crate) const DIVERGENCE_WINDOW: usize = 16;
+
+/// Minimum cumulative objective rise over `DIVERGENCE_WINDOW`; guards
+/// against flagging the small rises of healthy non-convex descent.
+pub(crate) const DIVERGENCE_MIN_RISE: f64 = 1e4;
+
+/// Gradient-norm clip for seeds in [`felix_ansor::SketchMode::Gradient`]
+/// mode. Healthy gradients stay orders of magnitude below this.
+pub(crate) const GRAD_CLIP: f64 = 1e8;
+
+/// Tighter clip for sketches degraded to
+/// [`felix_ansor::SketchMode::ClippedGradient`].
+pub(crate) const CLIPPED_GRAD_CLIP: f64 = 1e2;
+
+/// Per-restart Adam learning-rate multiplier (trust-region backoff).
+pub(crate) const TRUST_BACKOFF: f64 = 0.5;
+
+/// Knobs of the descent supervisor. The defaults, like the thresholds
+/// above, are chosen so a healthy run never trips any of them: supervision
+/// is then observation-only and the search stays bit-identical to an
+/// unsupervised run.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorOptions {
     /// Master switch. `false` restores the exact pre-supervisor loop (no
     /// health checks, no restarts, no clipping).
     pub enabled: bool,
-    /// Consecutive monotonically-rising objective steps before a seed is
-    /// considered diverging.
-    pub window: usize,
-    /// Minimum cumulative objective rise over the window; guards against
-    /// flagging the small rises of healthy non-convex descent.
-    pub divergence_min_rise: f64,
-    /// Gradient-norm clip for seeds in [`felix_ansor::SketchMode::Gradient`]
-    /// mode. Healthy gradients stay orders of magnitude below this.
-    pub grad_clip: f64,
-    /// Tighter clip for sketches degraded to
-    /// [`felix_ansor::SketchMode::ClippedGradient`].
-    pub clipped_grad_clip: f64,
     /// Restarts per seed per round before the seed is frozen (exhausted).
     pub restart_budget: usize,
-    /// Per-restart Adam learning-rate multiplier (trust-region backoff).
-    pub trust_backoff: f64,
     /// Wall-clock deadline for one round's descent, in seconds. Overruns
     /// are charged to the simulated tuning clock so a stalling descent
     /// cannot make the time-vs-latency curve look better than it is.
@@ -71,12 +77,7 @@ impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
             enabled: true,
-            window: 16,
-            divergence_min_rise: 1e4,
-            grad_clip: 1e8,
-            clipped_grad_clip: 1e2,
             restart_budget: 3,
-            trust_backoff: 0.5,
             deadline_s: f64::INFINITY,
             inject_panic_sketch: None,
         }
@@ -112,9 +113,9 @@ impl Default for SeedHealth {
 
 impl SeedHealth {
     /// Feeds one step's objective value; returns `true` when the divergence
-    /// criterion trips (monotone rise of `window` steps with cumulative
-    /// rise above `min_rise`).
-    pub fn note_objective(&mut self, obj: f64, window: usize, min_rise: f64) -> bool {
+    /// criterion trips (monotone rise of `DIVERGENCE_WINDOW` steps with
+    /// cumulative rise above `DIVERGENCE_MIN_RISE`).
+    pub fn note_objective(&mut self, obj: f64) -> bool {
         if obj > self.last_obj {
             if self.rising_steps == 0 {
                 self.rise_start_obj = self.last_obj;
@@ -124,7 +125,7 @@ impl SeedHealth {
             self.rising_steps = 0;
         }
         self.last_obj = obj;
-        self.rising_steps >= window && obj - self.rise_start_obj > min_rise
+        self.rising_steps >= DIVERGENCE_WINDOW && obj - self.rise_start_obj > DIVERGENCE_MIN_RISE
     }
 
     /// Consumes one restart (resetting the divergence window) and reports
@@ -247,19 +248,19 @@ mod tests {
         let mut h = SeedHealth::default();
         // Monotone rise but tiny: never trips.
         for i in 0..40 {
-            assert!(!h.note_objective(f64::from(i), 16, 1e4));
+            assert!(!h.note_objective(f64::from(i)));
         }
         // Large rise but interrupted every few steps: never trips.
         let mut h = SeedHealth::default();
         for i in 0..40 {
             let obj = if i % 8 == 7 { 0.0 } else { f64::from(i) * 1e4 };
-            assert!(!h.note_objective(obj, 16, 1e4));
+            assert!(!h.note_objective(obj));
         }
         // Monotone AND large: trips exactly at the window boundary.
         let mut h = SeedHealth::default();
         let mut tripped = None;
         for i in 0..40 {
-            if h.note_objective(f64::from(i) * 1e4, 16, 1e4) {
+            if h.note_objective(f64::from(i) * 1e4) {
                 tripped = Some(i);
                 break;
             }

@@ -19,7 +19,7 @@
 //! `grad_from_dscore_pool`, `cost_and_grad_pool`) are the reference oracle
 //! it is tested against.
 
-use felix_cost::Mlp;
+use felix_cost::{Mlp, MlpScratch};
 use felix_expr::autodiff::GradOptions;
 use felix_expr::rewrite::simplify_with_limits;
 use felix_expr::subst::exp_substitution;
@@ -573,7 +573,15 @@ impl SketchObjective {
         self.forward_batch(&mut scratch);
         let mut feats = vec![0.0; self.n_feats()];
         self.write_feats_cols(&mut scratch, &[0], 1, &mut feats, |_, _| {});
-        let (score, dscore) = model.input_gradient(&feats);
+        let (mut scores, mut dscore) = (Vec::new(), Vec::new());
+        model.input_gradient_batch_cols(
+            &feats,
+            1,
+            &mut MlpScratch::default(),
+            &mut scores,
+            &mut dscore,
+        );
+        let score = scores[0];
         self.seed_feats_cols(&mut scratch, &[0], 1, &dscore);
         let mut penalty = 0.0;
         self.seed_penalties_all(&mut scratch, lambda, |_, p, _| penalty = p);
@@ -731,7 +739,7 @@ mod tests {
                 obj.write_feats_cols(scratch, cols, n_total, &mut feats_t, |_, ok| assert!(ok));
             }
             let (mut mlp_scratch, mut scores, mut grads_t) =
-                (felix_cost::MlpScratch::default(), Vec::new(), Vec::new());
+                (MlpScratch::default(), Vec::new(), Vec::new());
             model.input_gradient_batch_cols(
                 &feats_t,
                 n_total,

@@ -7,9 +7,16 @@
 //!
 //! Unlike a framework-backed implementation, the forward pass, backward
 //! pass, Adam optimizer, and — crucially for Felix — the **gradient with
-//! respect to the inputs** ([`Mlp::input_gradient`]) are implemented from
-//! scratch, because Felix chains `∂score/∂feature` into the reverse-mode
-//! sweep over the symbolic feature formulas.
+//! respect to the inputs** are implemented from scratch, because Felix
+//! chains `∂score/∂feature` into the reverse-mode sweep over the symbolic
+//! feature formulas.
+//!
+//! Every production query runs one kernel pair over feature-major batches:
+//! a batched forward ([`Mlp::predict_batch`], and inside training) and a
+//! batched input-gradient backward ([`Mlp::input_gradient_batch_cols`],
+//! the descent step). The scalar [`Mlp::predict`] and
+//! [`Mlp::input_gradient`] are the reference each batched row is checked
+//! against bit for bit.
 
 pub mod dataset;
 pub mod sampling;
@@ -107,7 +114,7 @@ fn layer_dims() -> Vec<(usize, usize)> {
 ///
 /// All buffers are feature-major ("transposed"): `acts_t[layer][i * n + s]`
 /// for batch size `n`. Create once, pass to
-/// [`Mlp::input_gradient_batch_flat`] every step; buffers grow to the
+/// [`Mlp::input_gradient_batch_cols`] every step; buffers grow to the
 /// high-water mark and stay there.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
@@ -192,54 +199,32 @@ impl Mlp {
 
     /// Predicted performance score (higher = faster) for one log-feature
     /// vector.
+    ///
+    /// The scalar reference: production scoring runs the batched
+    /// [`Mlp::predict_batch`], and the tests (and the pool-walking
+    /// objective oracle, `cost_and_grad_pool`) check that path against this
+    /// one bit for bit.
     pub fn predict(&self, logfeats: &[f64]) -> f64 {
         let x = self.normalize(logfeats);
         self.forward_cached(&x).1
     }
 
-    /// Batched forward pass over flat, feature-major ("transposed")
-    /// activation buffers: `scratch.acts_t[layer][i * n + s]`. One weight
-    /// traversal per layer for the whole batch, with output rows register-
-    /// blocked four at a time so each input column load feeds four
-    /// accumulator rows and the weight tile stays L1/L2-resident across
-    /// the seed batch.
+    /// The one batched forward pass, over a flat feature-major buffer
+    /// (`feats_t[k * n + s]`, the layout the descent loop's transposed
+    /// feature extraction writes). Fills `scratch.acts_t` (layer 0 =
+    /// normalized inputs, `acts_t[layer][i * n + s]`) and returns the
+    /// per-sample scores in `scores`.
     ///
-    /// Each sample's accumulation runs in exactly the order of
+    /// One weight traversal per layer for the whole batch, with output rows
+    /// register-blocked four at a time so each input column load feeds four
+    /// accumulator rows and the weight tile stays L1/L2-resident across
+    /// the batch. Each sample's accumulation runs in exactly the order of
     /// [`Mlp::forward_cached`] — bias first, then ascending input index,
     /// one sequential chain per `(row, sample)` — so every result is
     /// bit-identical to the scalar path. Row blocking never reassociates a
     /// sum (the four rows have independent accumulators); batching buys
     /// locality, never a different answer. The tuner's serial/parallel
     /// equivalence guarantee rests on this.
-    ///
-    /// Fills `scratch.acts_t` (layer 0 = normalized inputs) and returns
-    /// the per-sample scores in `scores`.
-    fn forward_batch_t(
-        &self,
-        logfeats: &[Vec<f64>],
-        scratch: &mut MlpScratch,
-        scores: &mut Vec<f64>,
-    ) {
-        let n = logfeats.len();
-        let n_layers = self.w.len();
-        scratch.acts_t.resize_with(n_layers + 1, Vec::new);
-        let x0 = &mut scratch.acts_t[0];
-        x0.clear();
-        x0.resize(FEATURE_COUNT * n, 0.0);
-        for (s, f) in logfeats.iter().enumerate() {
-            assert_eq!(f.len(), FEATURE_COUNT, "feature vector length");
-            for (i, &x) in f.iter().enumerate() {
-                x0[i * n + s] = (x as f32 - self.input_mean[i]) / self.input_std[i];
-            }
-        }
-        self.forward_layers(n, scratch, scores);
-    }
-
-    /// [`Mlp::forward_batch_t`] over one flat feature-major buffer
-    /// (`feats_t[k * n + s]`, as produced by the descent loop's transposed
-    /// feature-extraction pass) — identical math, but the layout already
-    /// matches the internal activations, so the layer-0 fill is one
-    /// contiguous normalize pass with no transposition at all.
     fn forward_batch_cols(
         &self,
         feats_t: &[f64],
@@ -248,6 +233,10 @@ impl Mlp {
         scores: &mut Vec<f64>,
     ) {
         assert_eq!(feats_t.len(), FEATURE_COUNT * n, "feature buffer length");
+        scores.clear();
+        if n == 0 {
+            return;
+        }
         let n_layers = self.w.len();
         scratch.acts_t.resize_with(n_layers + 1, Vec::new);
         let x0 = &mut scratch.acts_t[0];
@@ -264,8 +253,8 @@ impl Mlp {
         self.forward_layers(n, scratch, scores);
     }
 
-    /// The layer sweeps shared by both batched forward entry points;
-    /// assumes `scratch.acts_t[0]` holds the normalized inputs.
+    /// The layer sweeps of [`Mlp::forward_batch_cols`]; assumes
+    /// `scratch.acts_t[0]` holds the normalized inputs.
     fn forward_layers(&self, n: usize, scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
         let n_layers = self.w.len();
         for (li, (w, b)) in self.w.iter().zip(&self.b).enumerate() {
@@ -333,61 +322,44 @@ impl Mlp {
         scores.extend(last[..n].iter().map(|&v| v as f64));
     }
 
-    /// Batch prediction via one weight traversal per layer; row `i` is
-    /// bit-identical to `predict(&logfeats[i])`.
+    /// Batch prediction: packs the rows feature-major and runs the one
+    /// batched forward; row `i` is bit-identical to
+    /// `predict(&logfeats[i])`.
     pub fn predict_batch(&self, logfeats: &[Vec<f64>]) -> Vec<f64> {
-        let mut scratch = MlpScratch::default();
         let mut scores = Vec::new();
-        self.forward_batch_t(logfeats, &mut scratch, &mut scores);
+        self.forward_rows(logfeats, &mut MlpScratch::default(), &mut scores);
         scores
     }
 
-    /// Batched [`Mlp::input_gradient`] over reusable flat buffers: one
-    /// weight traversal per layer in each direction, four-row register
-    /// blocks in both sweeps. Fills `scores` (per sample) and `grads`
-    /// (sample-major, `FEATURE_COUNT` per sample). Sample `i` is
-    /// bit-identical to `input_gradient(&logfeats[i])`: the backward
-    /// accumulation per `(input, sample)` runs over ascending output rows
-    /// as one sequential chain, and a zero-gated contribution adds `±0.0`,
-    /// which cannot flip any accumulator bit (accumulators start at `+0.0`
-    /// and finite additions never yield `-0.0`), so the reference's ReLU
-    /// skip is unnecessary and the inner loops stay pure sweeps across
-    /// samples.
-    pub fn input_gradient_batch_flat(
-        &self,
-        logfeats: &[Vec<f64>],
-        scratch: &mut MlpScratch,
-        scores: &mut Vec<f64>,
-        grads: &mut Vec<f64>,
-    ) {
-        let n = logfeats.len();
-        scores.clear();
-        grads.clear();
-        if n == 0 {
-            return;
-        }
-        self.forward_batch_t(logfeats, scratch, scores);
-        self.backward_input_gradients(n, scratch);
-        let gfinal = &scratch.grad_t;
-        debug_assert_eq!(gfinal.len(), FEATURE_COUNT * n);
-        grads.resize(FEATURE_COUNT * n, 0.0);
-        for s in 0..n {
-            for k in 0..FEATURE_COUNT {
-                // Undo normalization in f32 (as the scalar path does),
-                // then widen.
-                grads[s * FEATURE_COUNT + k] =
-                    (gfinal[k * n + s] / self.input_std[k]) as f64;
+    /// [`Mlp::forward_batch_cols`] over sample-major rows, packed
+    /// feature-major first.
+    fn forward_rows(&self, rows: &[Vec<f64>], scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
+        let n = rows.len();
+        let mut feats_t = vec![0.0; FEATURE_COUNT * n];
+        for (s, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), FEATURE_COUNT, "feature vector length");
+            for (k, &x) in row.iter().enumerate() {
+                feats_t[k * n + s] = x;
             }
         }
+        self.forward_batch_cols(&feats_t, n, scratch, scores);
     }
 
-    /// [`Mlp::input_gradient_batch_flat`] over one flat feature-major
-    /// buffer (`feats_t[k * n + s]`); sample `s` is bit-identical to
-    /// `input_gradient` on the same sample's feature column. Output
-    /// `grads_t` is feature-major too (`grads_t[k * n + s]`), matching the
-    /// backward sweep's internal layout so extraction is a pure contiguous
-    /// rescale — consumers that seed gradient tapes row-by-root read it
-    /// without a transpose.
+    /// Batched [`Mlp::input_gradient`] over one flat feature-major buffer
+    /// (`feats_t[k * n + s]`): one weight traversal per layer in each
+    /// direction, four-row register blocks in both sweeps. Fills `scores`
+    /// (per sample) and `grads_t`, feature-major too
+    /// (`grads_t[k * n + s]`), matching the backward sweep's internal
+    /// layout so extraction is a pure contiguous rescale — consumers that
+    /// seed gradient tapes row-by-root read it without a transpose.
+    ///
+    /// Sample `s` is bit-identical to `input_gradient` on the same
+    /// sample's feature column: the backward accumulation per
+    /// `(input, sample)` runs over ascending output rows as one sequential
+    /// chain, and a zero-gated contribution adds `±0.0`, which cannot flip
+    /// any accumulator bit (accumulators start at `+0.0` and finite
+    /// additions never yield `-0.0`), so the reference's ReLU skip is
+    /// unnecessary and the inner loops stay pure sweeps across samples.
     pub fn input_gradient_batch_cols(
         &self,
         feats_t: &[f64],
@@ -396,12 +368,11 @@ impl Mlp {
         scores: &mut Vec<f64>,
         grads_t: &mut Vec<f64>,
     ) {
-        scores.clear();
         grads_t.clear();
+        self.forward_batch_cols(feats_t, n, scratch, scores);
         if n == 0 {
             return;
         }
-        self.forward_batch_cols(feats_t, n, scratch, scores);
         self.backward_input_gradients(n, scratch);
         let gfinal = &scratch.grad_t;
         debug_assert_eq!(gfinal.len(), FEATURE_COUNT * n);
@@ -410,16 +381,16 @@ impl Mlp {
             let sd = self.input_std[k];
             for (d, &gv) in row.iter_mut().zip(src) {
                 // Undo normalization in f32 (as the scalar path does), then
-                // widen — same per-element math as the sample-major form.
+                // widen.
                 *d = (gv / sd) as f64;
             }
         }
     }
 
-    /// The reverse sweeps shared by both batched gradient entry points;
-    /// assumes a forward pass has filled `scratch.acts_t`. Leaves the raw
+    /// The reverse sweeps of [`Mlp::input_gradient_batch_cols`]; assumes
+    /// a forward pass has filled `scratch.acts_t`. Leaves the raw
     /// feature-major input gradients (pre-normalization-unscale, `f32`) in
-    /// `scratch.grad_t`; each entry point extracts into its own layout.
+    /// `scratch.grad_t`.
     fn backward_input_gradients(&self, n: usize, scratch: &mut MlpScratch) {
         let n_layers = self.w.len();
         // d(score)/d(out) = 1 for the single output unit.
@@ -487,26 +458,13 @@ impl Mlp {
         }
     }
 
-    /// Allocating wrapper around [`Mlp::input_gradient_batch_flat`]; row
-    /// `i` is bit-identical to `input_gradient(&logfeats[i])`.
-    pub fn input_gradient_batch(&self, logfeats: &[Vec<f64>]) -> Vec<(f64, Vec<f64>)> {
-        let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        let mut grads = Vec::new();
-        self.input_gradient_batch_flat(logfeats, &mut scratch, &mut scores, &mut grads);
-        scores
-            .into_iter()
-            .enumerate()
-            .map(|(s, score)| {
-                (score, grads[s * FEATURE_COUNT..(s + 1) * FEATURE_COUNT].to_vec())
-            })
-            .collect()
-    }
-
     /// Predicted score and its gradient with respect to the (log) features.
     ///
     /// This is the `∂C/∂feat` that Felix seeds the expression-DAG reverse
-    /// sweep with (paper §3.4).
+    /// sweep with (paper §3.4). The scalar reference: descent runs the
+    /// batched [`Mlp::input_gradient_batch_cols`], and the tests (and the
+    /// pool-walking objective oracle, `cost_and_grad_pool`) check that path
+    /// against this one bit for bit.
     pub fn input_gradient(&self, logfeats: &[f64]) -> (f64, Vec<f64>) {
         let x = self.normalize(logfeats);
         let (acts, score) = self.forward_cached(&x);
@@ -559,7 +517,9 @@ impl Mlp {
         gb: &mut [Vec<f32>],
     ) -> f64 {
         // Forward once to get scores, derive MSE seeds, backprop.
-        let scores: Vec<f64> = inputs.iter().map(|x| self.predict(x)).collect();
+        let mut scratch = MlpScratch::default();
+        let mut scores = Vec::new();
+        self.forward_rows(inputs, &mut scratch, &mut scores);
         let bs = inputs.len() as f64;
         let mut loss = 0.0;
         let seeds: Vec<f32> = scores
@@ -571,7 +531,7 @@ impl Mlp {
                 (2.0 * err / bs) as f32
             })
             .collect();
-        self.backprop_with_seeds(inputs, &seeds, gw, gb);
+        self.backprop_with_seeds(&scratch, inputs.len(), &seeds, gw, gb);
         loss / bs
     }
 
@@ -589,7 +549,9 @@ impl Mlp {
         if n < 2 {
             return 0.0;
         }
-        let scores: Vec<f64> = inputs.iter().map(|x| self.predict(x)).collect();
+        let mut scratch = MlpScratch::default();
+        let mut scores = Vec::new();
+        self.forward_rows(inputs, &mut scratch, &mut scores);
         let mut seeds = vec![0.0f64; n];
         let mut loss = 0.0;
         let mut pairs = 0usize;
@@ -611,25 +573,35 @@ impl Mlp {
             return 0.0;
         }
         let seeds: Vec<f32> = seeds.iter().map(|s| (*s / pairs as f64) as f32).collect();
-        self.backprop_with_seeds(inputs, &seeds, gw, gb);
+        self.backprop_with_seeds(&scratch, n, &seeds, gw, gb);
         loss / pairs as f64
     }
 
-    /// Backpropagates per-sample output seeds into parameter gradients.
+    /// Backpropagates per-sample output seeds into parameter gradients,
+    /// reading each sample's activations from the batch-`n` forward pass
+    /// that filled `scratch.acts_t`. Samples accumulate one at a time in
+    /// batch order, so every parameter gradient sums in the same order as
+    /// a per-sample scalar backward would. The layer-0 input gradient is
+    /// never needed and never computed.
     fn backprop_with_seeds(
         &self,
-        inputs: &[Vec<f64>],
+        scratch: &MlpScratch,
+        n: usize,
         seeds: &[f32],
         gw: &mut [Vec<f32>],
         gb: &mut [Vec<f32>],
     ) {
         let n_layers = self.w.len();
-        for (xraw, &seed) in inputs.iter().zip(seeds) {
+        let mut acts: Vec<Vec<f32>> = LAYER_SIZES.iter().map(|&d| vec![0.0; d]).collect();
+        for (s, &seed) in seeds.iter().enumerate() {
             if seed == 0.0 {
                 continue;
             }
-            let x = self.normalize(xraw);
-            let (acts, _score) = self.forward_cached(&x);
+            for (dst, src) in acts.iter_mut().zip(&scratch.acts_t) {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = src[i * n + s];
+                }
+            }
             let mut grad = vec![seed];
             for li in (0..n_layers).rev() {
                 let inp = &acts[li];
@@ -652,6 +624,9 @@ impl Mlp {
                     for i in 0..in_dim {
                         row[i] += gated[o] * inp[i];
                     }
+                }
+                if li == 0 {
+                    break;
                 }
                 let w = &self.w[li];
                 let mut gin = vec![0.0f32; in_dim];
@@ -919,108 +894,81 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_paths_are_bit_identical_to_scalar() {
-        // The tuner's serial/parallel determinism guarantee requires every
-        // batch row to match the scalar path exactly, not approximately.
-        let mut rng = StdRng::seed_from_u64(4);
-        let mlp = Mlp::new(&mut rng);
-        let batch: Vec<Vec<f64>> = (0..17)
+    /// Runs `n` rows (values keyed by `salt`) through `predict_batch` and,
+    /// packed feature-major, through `input_gradient_batch_cols` with
+    /// `scratch`, and checks every row bitwise against scalar `predict` and
+    /// `input_gradient`. The tuner's serial/parallel determinism guarantee
+    /// requires every batch row to match the scalar path exactly, not
+    /// approximately.
+    fn assert_batch_matches_scalar(mlp: &Mlp, n: usize, salt: usize, scratch: &mut MlpScratch) {
+        let batch: Vec<Vec<f64>> = (0..n)
             .map(|s| {
                 (0..FEATURE_COUNT)
-                    .map(|i| ((s * 31 + i) as f64 * 0.17).sin() * 3.0)
+                    .map(|i| ((s * 31 + i + salt) as f64 * 0.17).sin() * 3.0)
                     .collect()
             })
             .collect();
-        let scores = mlp.predict_batch(&batch);
-        let grads = mlp.input_gradient_batch(&batch);
-        assert_eq!(scores.len(), batch.len());
-        assert_eq!(grads.len(), batch.len());
-        for (i, x) in batch.iter().enumerate() {
-            let s = mlp.predict(x);
-            assert_eq!(scores[i].to_bits(), s.to_bits(), "row {i} score");
-            let (gs, gg) = mlp.input_gradient(x);
-            assert_eq!(grads[i].0.to_bits(), gs.to_bits(), "row {i} grad score");
-            assert_eq!(grads[i].1.len(), gg.len());
-            for (k, (a, b)) in grads[i].1.iter().zip(&gg).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i} grad[{k}]");
+        let mut feats_t = vec![0.0; FEATURE_COUNT * n];
+        for (s, x) in batch.iter().enumerate() {
+            for (k, &v) in x.iter().enumerate() {
+                feats_t[k * n + s] = v;
             }
+        }
+        let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
+        let predicted = mlp.predict_batch(&batch);
+        mlp.input_gradient_batch_cols(&feats_t, n, scratch, &mut scores, &mut grads_t);
+        assert_eq!(predicted.len(), n);
+        assert_eq!(scores.len(), n);
+        assert_eq!(grads_t.len(), FEATURE_COUNT * n);
+        for (s, x) in batch.iter().enumerate() {
+            let p = mlp.predict(x);
+            assert_eq!(predicted[s].to_bits(), p.to_bits(), "n={n} row {s} predict");
+            let (gs, gg) = mlp.input_gradient(x);
+            assert_eq!(scores[s].to_bits(), gs.to_bits(), "n={n} row {s} grad score");
+            for (k, g) in gg.iter().enumerate() {
+                assert_eq!(
+                    grads_t[k * n + s].to_bits(),
+                    g.to_bits(),
+                    "n={n} row {s} grad[{k}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_paths_are_bit_identical_to_scalar() {
+        // One `MlpScratch` serves every size, growing to 17 and shrinking
+        // back to the empty batch, as the descent loop's does when seeds
+        // drop out: stale high-water data must never leak into a smaller
+        // batch.
+        let mut rng = StdRng::seed_from_u64(4);
+        let mlp = Mlp::new(&mut rng);
+        let mut scratch = MlpScratch::default();
+        for n in (1..=17).chain((0..17).rev()) {
+            assert_batch_matches_scalar(&mlp, n, 7 * n, &mut scratch);
         }
     }
 
     #[test]
     fn mlp_scratch_reuse_across_batch_sizes_is_bit_identical() {
-        // The descent loop reuses one `MlpScratch` across steps whose
-        // batch size can shrink (poisoned seeds drop out) or grow
-        // (warm-start rounds). Stale high-water-mark data must never leak
-        // into a later, smaller batch.
+        // Irregular shrink/grow steps, as when poisoned seeds drop out and
+        // warm-start rounds add seeds back.
         let mut rng = StdRng::seed_from_u64(11);
         let mlp = Mlp::new(&mut rng);
         let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        let mut grads = Vec::new();
         for &n in &[5usize, 3, 8, 1] {
-            let batch: Vec<Vec<f64>> = (0..n)
-                .map(|s| {
-                    (0..FEATURE_COUNT)
-                        .map(|i| ((s * 7 + i) as f64 * 0.23).sin() * 2.0)
-                        .collect()
-                })
-                .collect();
-            mlp.input_gradient_batch_flat(&batch, &mut scratch, &mut scores, &mut grads);
-            assert_eq!(scores.len(), n);
-            assert_eq!(grads.len(), n * FEATURE_COUNT);
-            for (s, x) in batch.iter().enumerate() {
-                let (rs, rg) = mlp.input_gradient(x);
-                assert_eq!(scores[s].to_bits(), rs.to_bits(), "n={n} row {s} score");
-                for (k, (a, b)) in grads[s * FEATURE_COUNT..(s + 1) * FEATURE_COUNT]
-                    .iter()
-                    .zip(&rg)
-                    .enumerate()
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} row {s} grad[{k}]");
-                }
-            }
+            assert_batch_matches_scalar(&mlp, n, 0, &mut scratch);
         }
     }
 
     #[test]
     fn feature_major_cols_path_is_bit_identical_to_scalar() {
-        // The descent hot loop feeds the MLP a feature-major buffer and
-        // seeds the gradient tape straight from the feature-major output;
-        // both directions must match the scalar path bit-for-bit.
+        // A fresh scratch per call, at sizes on both sides of the SIMD lane
+        // width, so each batch starts from cold buffers.
         let mut rng = StdRng::seed_from_u64(13);
         let mlp = Mlp::new(&mut rng);
-        let mut scratch = MlpScratch::default();
-        let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
         for &n in &[1usize, 7, 16, 17] {
-            let batch: Vec<Vec<f64>> = (0..n)
-                .map(|s| {
-                    (0..FEATURE_COUNT)
-                        .map(|i| ((s * 13 + i) as f64 * 0.29).sin() * 2.5)
-                        .collect()
-                })
-                .collect();
-            let mut feats_t = vec![0.0; FEATURE_COUNT * n];
-            for (s, x) in batch.iter().enumerate() {
-                for (k, &v) in x.iter().enumerate() {
-                    feats_t[k * n + s] = v;
-                }
-            }
-            mlp.input_gradient_batch_cols(&feats_t, n, &mut scratch, &mut scores, &mut grads_t);
-            assert_eq!(scores.len(), n);
-            assert_eq!(grads_t.len(), FEATURE_COUNT * n);
-            for (s, x) in batch.iter().enumerate() {
-                let (rs, rg) = mlp.input_gradient(x);
-                assert_eq!(scores[s].to_bits(), rs.to_bits(), "n={n} col {s} score");
-                for (k, b) in rg.iter().enumerate() {
-                    assert_eq!(
-                        grads_t[k * n + s].to_bits(),
-                        b.to_bits(),
-                        "n={n} col {s} grad[{k}]"
-                    );
-                }
-            }
+            assert_batch_matches_scalar(&mlp, n, 13, &mut MlpScratch::default());
         }
     }
 
@@ -1029,12 +977,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mlp = Mlp::new(&mut rng);
         assert!(mlp.predict_batch(&[]).is_empty());
-        assert!(mlp.input_gradient_batch(&[]).is_empty());
-        let x: Vec<f64> = (0..FEATURE_COUNT).map(|i| (i as f64 * 0.3).cos()).collect();
-        let one = mlp.input_gradient_batch(std::slice::from_ref(&x));
-        let (s, g) = mlp.input_gradient(&x);
-        assert_eq!(one[0].0.to_bits(), s.to_bits());
-        assert_eq!(one[0].1, g);
+        for n in [0usize, 1] {
+            assert_batch_matches_scalar(&mlp, n, 0, &mut MlpScratch::default());
+        }
     }
 
     #[test]

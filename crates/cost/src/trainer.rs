@@ -142,12 +142,10 @@ pub fn evaluate_mse(mlp: &Mlp, samples: &[Sample]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    samples
+    predictions(mlp, samples)
         .iter()
-        .map(|s| {
-            let p = mlp.predict(&s.logfeats);
-            (p - s.score).powi(2)
-        })
+        .zip(samples)
+        .map(|(p, s)| (p - s.score).powi(2))
         .sum::<f64>()
         / samples.len() as f64
 }
@@ -155,9 +153,20 @@ pub fn evaluate_mse(mlp: &Mlp, samples: &[Sample]) -> f64 {
 /// Spearman-style rank correlation between predictions and targets — the
 /// metric that matters for search (ordering schedules correctly).
 pub fn rank_correlation(mlp: &Mlp, samples: &[Sample]) -> f64 {
-    let preds: Vec<f64> = samples.iter().map(|s| mlp.predict(&s.logfeats)).collect();
+    let preds = predictions(mlp, samples);
     let targets: Vec<f64> = samples.iter().map(|s| s.score).collect();
     spearman(&preds, &targets)
+}
+
+/// The model's score for every sample, batched in bounded chunks.
+fn predictions(mlp: &Mlp, samples: &[Sample]) -> Vec<f64> {
+    samples
+        .chunks(256)
+        .flat_map(|chunk| {
+            let rows: Vec<Vec<f64>> = chunk.iter().map(|s| s.logfeats.clone()).collect();
+            mlp.predict_batch(&rows)
+        })
+        .collect()
 }
 
 fn ranks(xs: &[f64]) -> Vec<f64> {

@@ -1,69 +1,22 @@
-//! A compiled evaluator: extracts the sub-DAG reachable from a set of roots
-//! into a compact, cache-friendly tape.
+//! Tests of forward-only evaluation through a compiled tape.
 //!
-//! [`ExprPool::eval_all`] walks the *entire* pool, which is wasteful when a
-//! search evaluates the same few feature roots at thousands of candidate
-//! schedules (the evolutionary baseline's inner loop). A [`CompiledExprs`]
-//! tape touches only reachable nodes, in one contiguous pass, and is
-//! reusable across evaluations via a caller-provided scratch buffer.
-//!
-//! `CompiledExprs` is the forward-only view over the same compiled tape the
-//! gradient tuner uses ([`crate::tape::CompiledGradTape`]), so both search
-//! algorithms share one compilation pipeline (dead-code elimination,
-//! constant folding, hash-cons CSE).
+//! Candidate scoring compiles a sketch's feature roots once with
+//! [`CompiledGradTape::compile`] and then, per candidate, runs
+//! [`CompiledGradTape::forward`] into a reused value buffer and copies the
+//! roots out with [`CompiledGradTape::write_roots`] into a reused output
+//! buffer. These tests pin that path against the whole-pool interpreter
+//! and check that compilation keeps only live, deduplicated nodes.
 
-use crate::tape::CompiledGradTape;
-use crate::{ExprId, ExprPool};
-
-/// A compact tape evaluating a fixed set of roots.
-#[derive(Clone, Debug)]
-pub struct CompiledExprs {
-    tape: CompiledGradTape,
-}
-
-impl CompiledExprs {
-    /// Compiles the sub-DAG reachable from `roots` out of `pool`.
-    pub fn compile(pool: &ExprPool, roots: &[ExprId]) -> Self {
-        CompiledExprs { tape: CompiledGradTape::compile(pool, roots) }
-    }
-
-    /// Number of tape instructions (reachable nodes after folding/CSE).
-    pub fn len(&self) -> usize {
-        self.tape.len()
-    }
-
-    /// True when the tape is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tape.is_empty()
-    }
-
-    /// Evaluates all roots into the caller's `out` buffer (cleared first),
-    /// reusing `scratch` across calls. The steady-state loop is
-    /// allocation-free once both buffers have grown to size.
-    pub fn eval_write(&self, var_values: &[f64], scratch: &mut Vec<f64>, out: &mut Vec<f64>) {
-        self.tape.forward(var_values, scratch);
-        self.tape.write_roots(scratch, 1, 0, out);
-    }
-
-    /// Evaluates all roots, reusing `scratch` across calls (it is resized
-    /// as needed). Returns one value per root, in compile order.
-    pub fn eval_into(&self, var_values: &[f64], scratch: &mut Vec<f64>) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.tape.n_roots());
-        self.eval_write(var_values, scratch, &mut out);
-        out
-    }
-
-    /// Convenience: [`CompiledExprs::eval_into`] with a fresh scratch buffer.
-    pub fn eval(&self, var_values: &[f64]) -> Vec<f64> {
-        let mut scratch = Vec::new();
-        self.eval_into(var_values, &mut scratch)
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::VarTable;
+    use crate::tape::CompiledGradTape;
+    use crate::{ExprPool, VarTable};
+
+    /// Evaluates every root of `tape` at one point through the scoring path:
+    /// `forward` into `vals`, then `write_roots` into `out`.
+    fn eval_write(tape: &CompiledGradTape, at: &[f64], vals: &mut Vec<f64>, out: &mut Vec<f64>) {
+        tape.forward(at, vals);
+        tape.write_roots(vals, 1, 0, out);
+    }
 
     #[test]
     fn compiled_matches_interpreter() {
@@ -79,13 +32,14 @@ mod tests {
         let m = p.max(x, zero);
         let c = p.cmp(crate::CmpOp::Gt, y, x);
         let s = p.select(c, l, m);
-        let compiled = CompiledExprs::compile(&p, &[l, m, s]);
+        let tape = CompiledGradTape::compile(&p, &[l, m, s]);
+        let (mut vals, mut out) = (Vec::new(), Vec::new());
         for at in [[2.0, 3.0], [5.0, 1.0], [0.5, 4.0]] {
             let full = p.eval_all(&at);
-            let fast = compiled.eval(&at);
-            assert_eq!(fast[0], full[l.index()]);
-            assert_eq!(fast[1], full[m.index()]);
-            assert_eq!(fast[2], full[s.index()]);
+            eval_write(&tape, &at, &mut vals, &mut out);
+            assert_eq!(out[0].to_bits(), full[l.index()].to_bits());
+            assert_eq!(out[1].to_bits(), full[m.index()].to_bits());
+            assert_eq!(out[2].to_bits(), full[s.index()].to_bits());
         }
     }
 
@@ -102,9 +56,9 @@ mod tests {
             dead = p.add(dead, c);
         }
         let live = p.mul(x, x);
-        let compiled = CompiledExprs::compile(&p, &[live]);
-        assert!(compiled.len() <= 2, "tape has {} instrs", compiled.len());
-        assert_eq!(compiled.eval(&[3.0]), vec![9.0]);
+        let tape = CompiledGradTape::compile(&p, &[live]);
+        assert!(tape.len() <= 2, "tape has {} instrs", tape.len());
+        assert_eq!(tape.eval(&[3.0]), vec![9.0]);
     }
 
     #[test]
@@ -114,11 +68,11 @@ mod tests {
         let mut p = ExprPool::new();
         let x = p.var(vx);
         let sq = p.mul(x, x);
-        let compiled = CompiledExprs::compile(&p, &[sq]);
-        let mut scratch = Vec::new();
+        let tape = CompiledGradTape::compile(&p, &[sq]);
+        let mut vals = Vec::new();
         for i in 1..50 {
-            let out = compiled.eval_into(&[i as f64], &mut scratch);
-            assert_eq!(out, vec![(i * i) as f64]);
+            tape.forward(&[i as f64], &mut vals);
+            assert_eq!(tape.root_value(&vals, 1, 0, 0), (i * i) as f64);
         }
     }
 
@@ -130,11 +84,10 @@ mod tests {
         let x = p.var(vx);
         let sq = p.mul(x, x);
         let cube = p.mul(sq, x);
-        let compiled = CompiledExprs::compile(&p, &[sq, cube]);
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
+        let tape = CompiledGradTape::compile(&p, &[sq, cube]);
+        let (mut vals, mut out) = (Vec::new(), Vec::new());
         for i in 1..20 {
-            compiled.eval_write(&[i as f64], &mut scratch, &mut out);
+            eval_write(&tape, &[i as f64], &mut vals, &mut out);
             assert_eq!(out, vec![(i * i) as f64, (i * i * i) as f64]);
         }
     }
@@ -148,10 +101,9 @@ mod tests {
         let e = p.exp(x);
         let a = p.add(e, e);
         let b = p.mul(e, e);
-        let compiled = CompiledExprs::compile(&p, &[a, b]);
+        let tape = CompiledGradTape::compile(&p, &[a, b]);
         // x, exp, add, mul = 4 instructions (exp not duplicated).
-        assert_eq!(compiled.len(), 4);
-        let out = compiled.eval(&[0.0]);
-        assert_eq!(out, vec![2.0, 1.0]);
+        assert_eq!(tape.len(), 4);
+        assert_eq!(tape.eval(&[0.0]), vec![2.0, 1.0]);
     }
 }

@@ -9,6 +9,10 @@
 //!   fold constants and algebraic identities on the fly,
 //! - evaluation of the whole pool in one pass ([`ExprPool::eval_all`]),
 //! - reverse-mode automatic differentiation ([`autodiff`]),
+//! - a compiled tape over just the nodes reachable from a set of roots
+//!   ([`CompiledGradTape`]): the one evaluator both searches use, forward
+//!   for candidate scoring and batched forward/reverse sweeps for descent
+//!   ([`tape`]),
 //! - smoothing of non-differentiable operators ([`smooth`], paper Fig. 4),
 //! - variable substitution, used for the `x = e^y` stabilization ([`subst`]),
 //! - an egg-style simplifier built on `felix-egraph` ([`rewrite`]),
@@ -30,7 +34,8 @@
 //! ```
 
 pub mod autodiff;
-pub mod compile;
+#[cfg(test)]
+mod compile;
 pub mod display;
 pub mod factor;
 pub mod rewrite;
@@ -39,7 +44,6 @@ pub mod subst;
 pub mod tape;
 
 pub use autodiff::{GradError, Gradients};
-pub use compile::CompiledExprs;
 pub use tape::{CompiledGradTape, SIMD_LANES};
 pub use display::DisplayExpr;
 pub use factor::{factors, round_to_factor};

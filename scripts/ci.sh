@@ -29,6 +29,16 @@ for crate in felix-egraph felix-expr felix-tir felix-graph felix-features \
     fi
 done
 
+# Cost-model smoke: one MLP kernel path. The batched feature-major forward
+# (behind predict_batch, evolution's population scoring and training) and
+# the batched input-gradient backward (the descent step) match the scalar
+# reference bit for bit at every batch size 1..=17 and the empty batch,
+# through one reused scratch that grows and then shrinks. The known-answer
+# test pins the bytes of the pretrained and the repeatedly fine-tuned
+# model, so a training change that moves one weight bit fails here.
+cargo test -q -p felix-cost --lib batched_paths_are_bit_identical_to_scalar
+cargo test -q -p felix --lib pretrained_and_fine_tuned_model_bytes_match_known_answers
+
 # Chaos smoke: tune a tiny network end-to-end with 10-30% injected
 # measurement failures. Asserts the run never panics, completes every round,
 # converges to a finite latency, keeps failed samples out of the fine-tuning
